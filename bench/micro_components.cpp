@@ -1,17 +1,13 @@
 // Component microbenchmarks (google-benchmark): cost of the simulator's
-// building blocks, and of one scheduling decision per policy. These measure
-// the *simulator*, not the modeled hardware — they answer "how fast does
-// memsched run" and guard against performance regressions in the hot loop.
+// building blocks in isolation. These measure the *simulator*, not the
+// modeled hardware. Whole-system cost per visited tick, split by layer, is
+// measured by perfbench's traced run (sim.loop_self_ns_per_visit,
+// sched.ns_per_round, ...) over complete runs.
 #include <benchmark/benchmark.h>
 
 #include "cache/cache.hpp"
-#include "core/me_schedulers.hpp"
 #include "core/priority_table.hpp"
-#include "core/scheduler_factory.hpp"
 #include "dram/address_map.hpp"
-#include "sched/policies.hpp"
-#include "sim/experiment.hpp"
-#include "sim/system.hpp"
 #include "trace/generator.hpp"
 #include "util/rng.hpp"
 
@@ -66,50 +62,6 @@ void BM_PriorityTableLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PriorityTableLookup);
-
-// One full simulated bus cycle of an N-core system under a given scheduler,
-// measured end to end (cores + caches + controller + DRAM).
-void BM_SystemTick(benchmark::State& state) {
-  const auto cores = static_cast<std::uint32_t>(state.range(0));
-  sim::SystemConfig cfg;
-  cfg.cores = cores;
-  std::vector<trace::AppProfile> apps;
-  const char* names[] = {"swim", "applu", "mgrid", "wupwise",
-                         "mcf",  "equake", "galgel", "lucas"};
-  for (std::uint32_t c = 0; c < cores; ++c)
-    apps.push_back(trace::spec2000_by_name(names[c % 8]));
-  sched::HitFirstReadFirstScheduler sched;
-  sim::MultiCoreSystem sys(cfg, apps, sched, 11);
-  sys.run(5'000, 0);  // settle
-  for (auto _ : state) sys.run(200, 0);
-  state.SetItemsProcessed(state.iterations() * 200 * cores);
-}
-BENCHMARK(BM_SystemTick)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
-
-// Scheduling-decision cost per policy: a loaded 8-core controller ticking.
-void BM_SchedulerDecision(benchmark::State& state) {
-  const char* schemes[] = {"HF-RF", "RR", "LREQ", "ME", "ME-LREQ", "ME-LREQ-HW"};
-  const std::string scheme = schemes[state.range(0)];
-  sim::SystemConfig cfg;
-  cfg.cores = 8;
-  std::vector<trace::AppProfile> apps;
-  const char* names[] = {"swim", "applu", "mgrid", "wupwise",
-                         "mcf",  "equake", "galgel", "lucas"};
-  std::vector<double> me;
-  for (int c = 0; c < 8; ++c) {
-    apps.push_back(trace::spec2000_by_name(names[c]));
-    me.push_back(apps.back().predicted_me());
-  }
-  core::SchedulerArgs args;
-  args.core_count = 8;
-  args.me = core::MeTable(me);
-  auto sched = core::make_scheduler(scheme, args);
-  sim::MultiCoreSystem sys(cfg, apps, *sched, 13);
-  sys.run(5'000, 0);
-  for (auto _ : state) sys.run(200, 0);
-  state.SetLabel(scheme);
-}
-BENCHMARK(BM_SchedulerDecision)->DenseRange(0, 5)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

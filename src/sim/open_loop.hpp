@@ -2,11 +2,15 @@
 // synthetic arrival process — no cores, no caches — to measure classic
 // queueing behaviour (latency-vs-load curves, saturation points) per
 // scheduling policy. Used by bench/latency_curves and the queueing tests.
+//
+// It has its own short run loop instead of MultiCoreSystem's kernel: the
+// traffic source is a float injection accumulator, which the skip engine
+// must advance one add per skipped tick to stay byte-identical with unit
+// stepping. Open-loop runs take seconds and are not checkpointed.
 #pragma once
 
 #include <cstdint>
 
-#include "ckpt/policy.hpp"
 #include "mc/controller.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
@@ -62,12 +66,5 @@ struct OpenLoopResult {
 
 /// Runs the open-loop experiment; the scheduler is reset() first.
 OpenLoopResult run_open_loop(const OpenLoopConfig& cfg, sched::Scheduler& scheduler);
-
-/// Checkpoint-aware variant: same contract as MultiCoreSystem::run — resume
-/// from `policy.path` when a valid snapshot exists, periodic saves, stop-flag
-/// park via ckpt::CheckpointStop; a resumed run's result is byte-identical
-/// to an uninterrupted one. Rejected while the auditor is enabled.
-OpenLoopResult run_open_loop(const OpenLoopConfig& cfg, sched::Scheduler& scheduler,
-                             const ckpt::CheckpointPolicy& policy);
 
 }  // namespace memsched::sim

@@ -118,259 +118,184 @@ std::string MultiCoreSystem::run_fingerprint(std::uint64_t target_insts,
   return os.str();
 }
 
-RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_insts,
-                               Tick max_ticks, const ckpt::CheckpointPolicy& policy) {
-  MEMSCHED_ASSERT(target_insts > 0, "target instruction count must be positive");
-  if (config_.engine == Engine::kSampled)
-    return run_sampled(target_insts, warmup_insts, max_ticks, policy);
+void MultiCoreSystem::Loop::save_state(ckpt::Writer& w) const {
+  w.put_bool(finished);
+  w.put_u64(t);
+  w.put_u64(visited);
+  w.put_u64(t_measure_start);
+  w.put_bool(measuring);
+  w.put_u32(done_count);
+  w.put_u64(next_epoch);
+  w.put_u64_vec(goal);
+  w.put_u64_vec(base_cycle);
+  w.put_u64_vec(finish_cycle);
+  for (const bool d : done) w.put_bool(d);
+  w.put_u64_vec(epoch_insts);
+  w.put_u64_vec(epoch_bytes);
+}
+
+void MultiCoreSystem::Loop::load_state(ckpt::Reader& r) {
+  const std::size_t n = done.size();
+  finished = r.get_bool();
+  t = r.get_u64();
+  visited = r.get_u64();
+  t_measure_start = r.get_u64();
+  measuring = r.get_bool();
+  done_count = r.get_u32();
+  next_epoch = r.get_u64();
+  goal = r.get_u64_vec();
+  base_cycle = r.get_u64_vec();
+  finish_cycle = r.get_u64_vec();
+  if (goal.size() != n || base_cycle.size() != n || finish_cycle.size() != n) {
+    throw ckpt::SnapshotError("snapshot: loop-section core count mismatch");
+  }
+  for (std::size_t c = 0; c < n; ++c) done[c] = r.get_bool();
+  epoch_insts = r.get_u64_vec();
+  epoch_bytes = r.get_u64_vec();
+  if (epoch_insts.size() != n || epoch_bytes.size() != n) {
+    throw ckpt::SnapshotError("snapshot: loop-section core count mismatch");
+  }
+}
+
+void MultiCoreSystem::save_state(ckpt::Writer& w,
+                                 const std::vector<ProgressWatchdog>& watchdogs) const {
+  w.begin_section("sched");
+  scheduler_->save_state(w);
+  w.begin_section("cores");
+  for (std::uint32_t c = 0; c < config_.cores; ++c) {
+    cores_[c]->save_state(w);
+    streams_[c]->save_state(w);
+  }
+  w.begin_section("cache");
+  hierarchy_->save_state(w);
+  w.begin_section("mc");
+  controller_->save_state(w);
+  w.begin_section("dram");
+  dram_->save_state(w);
+  if (fault_) {
+    w.begin_section("fault");
+    fault_->save_state(w);
+  }
+  w.begin_section("watchdogs");
+  for (const ProgressWatchdog& wd : watchdogs) wd.save_state(w);
+}
+
+void MultiCoreSystem::load_state(ckpt::Reader& r, std::vector<ProgressWatchdog>& watchdogs) {
+  r.open_section("sched");
+  scheduler_->load_state(r);
+  r.close_section();
+  r.open_section("cores");
+  for (std::uint32_t c = 0; c < config_.cores; ++c) {
+    cores_[c]->load_state(r);
+    streams_[c]->load_state(r);
+  }
+  r.close_section();
+  r.open_section("cache");
+  hierarchy_->load_state(r);
+  r.close_section();
+  r.open_section("mc");
+  controller_->load_state(r);
+  r.close_section();
+  r.open_section("dram");
+  dram_->load_state(r);
+  r.close_section();
+  if (fault_) {
+    r.open_section("fault");
+    fault_->load_state(r);
+    r.close_section();
+  }
+  r.open_section("watchdogs");
+  for (ProgressWatchdog& wd : watchdogs) wd.load_state(r);
+  r.close_section();
+}
+
+void MultiCoreSystem::start_phase(Loop& loop, std::uint64_t insts) const {
+  for (std::uint32_t c = 0; c < config_.cores; ++c) {
+    loop.goal[c] = cores_[c]->committed() + insts;
+    loop.done[c] = false;
+  }
+  loop.done_count = 0;
+}
+
+void MultiCoreSystem::begin_measurement(Loop& loop, std::uint64_t insts) {
+  loop.measuring = true;
+  controller_->reset_stats();
+  hierarchy_->reset_stats();
+  for (std::uint32_t c = 0; c < config_.cores; ++c) {
+    cores_[c]->reset_stats();
+    loop.base_cycle[c] = cores_[c]->cycle();
+    // Epoch traffic counters restart with the stats reset.
+    loop.epoch_insts[c] = cores_[c]->committed();
+    loop.epoch_bytes[c] = 0;
+  }
+  start_phase(loop, insts);
+}
+
+bool MultiCoreSystem::quiescent() const {
+  if (!hierarchy_->idle()) return false;
+  for (const auto& core : cores_)
+    if (!core->quiescent()) return false;
+  return true;
+}
+
+template <typename BeforeTick>
+bool MultiCoreSystem::advance(Loop& loop, std::vector<ProgressWatchdog>& watchdogs,
+                              Until until, Tick max_ticks, std::uint64_t target_insts,
+                              BeforeTick&& before_tick) {
   const std::uint32_t n = config_.cores;
-  if (policy.enabled() && auditor_) {
-    throw std::invalid_argument(
-        "checkpointing requires audit off: the auditor's shadow state is not "
-        "serialized, so a resumed run could not keep verifying (disable one)");
-  }
-
-  std::vector<std::uint64_t> goal(n, 0);     ///< committed count that ends the phase
-  std::vector<CpuCycle> base_cycle(n, 0);    ///< measurement start per core
-  std::vector<CpuCycle> finish_cycle(n, 0);
-  std::vector<bool> done(n, false);
-  std::uint32_t done_count = 0;
-
-  // Per-core counters at the previous epoch boundary, for on_epoch.
-  std::vector<std::uint64_t> epoch_insts(n, 0);
-  std::vector<std::uint64_t> epoch_bytes(n, 0);
-  Tick next_epoch = config_.epoch_ticks;
-
-  bool measuring = warmup_insts == 0;
-  for (std::uint32_t c = 0; c < n; ++c) {
-    goal[c] = cores_[c]->committed() + (measuring ? target_insts : warmup_insts);
-  }
-
-  auto begin_measurement = [&] {
-    measuring = true;
-    controller_->reset_stats();
-    hierarchy_->reset_stats();
-    for (std::uint32_t c = 0; c < n; ++c) {
-      cores_[c]->reset_stats();
-      base_cycle[c] = cores_[c]->cycle();
-      goal[c] = cores_[c]->committed() + target_insts;
-      done[c] = false;
-    }
-    done_count = 0;
-  };
-
-  // One forward-progress watchdog per core: a single starved core must be
-  // caught even while its neighbours keep committing. Polled sparsely — the
-  // counters are monotonic, so coarse sampling only delays detection by at
-  // most one poll interval. The skip engine never jumps over a poll
-  // boundary, so both engines poll at the same ticks with the same state.
-  constexpr Tick kWatchdogPollMask = 1023;
-  std::vector<ProgressWatchdog> watchdogs(n, ProgressWatchdog(config_.progress_window_ticks));
-
-  Tick t = 0;
-  Tick t_measure_start = 0;
-  Tick visited = 0;
-  bool finished = false;  ///< loop ran to completion (restored or live)
-
-  // --- checkpoint plumbing -------------------------------------------------
-  // A snapshot is taken at the top of a loop iteration, before tick t is
-  // processed: every component is self-consistent and the resumed run
-  // re-enters the loop at the same t, replaying the exact tick stream (and
-  // RNG draws) of the uninterrupted run. The post-loop snapshot sets
-  // `finished`; resuming it skips the loop and recomputes the RunResult from
-  // the restored state, which is deterministic — so a killed-and-resumed run
-  // produces a byte-identical report.
-  const std::string fp = policy.enabled()
-                             ? run_fingerprint(target_insts, warmup_insts, max_ticks,
-                                               policy.context)
-                             : std::string{};
-
-  auto save_snapshot = [&] {
-    ckpt::Writer w;
-    w.begin_section("loop");
-    w.put_bool(finished);
-    w.put_u64(t);
-    w.put_u64(visited);
-    w.put_u64(t_measure_start);
-    w.put_bool(measuring);
-    w.put_u32(done_count);
-    w.put_u64(next_epoch);
-    w.put_u64_vec(goal);
-    w.put_u64_vec(base_cycle);
-    w.put_u64_vec(finish_cycle);
-    for (std::uint32_t c = 0; c < n; ++c) w.put_bool(done[c]);
-    w.put_u64_vec(epoch_insts);
-    w.put_u64_vec(epoch_bytes);
-    w.begin_section("sched");
-    scheduler_->save_state(w);
-    w.begin_section("cores");
-    for (std::uint32_t c = 0; c < n; ++c) {
-      cores_[c]->save_state(w);
-      streams_[c]->save_state(w);
-    }
-    w.begin_section("cache");
-    hierarchy_->save_state(w);
-    w.begin_section("mc");
-    controller_->save_state(w);
-    w.begin_section("dram");
-    dram_->save_state(w);
-    if (fault_) {
-      w.begin_section("fault");
-      fault_->save_state(w);
-    }
-    w.begin_section("watchdogs");
-    for (std::uint32_t c = 0; c < n; ++c) watchdogs[c].save_state(w);
-    w.save(policy.path, fp);
-  };
-
-  if (policy.enabled() && policy.resume &&
-      std::ifstream(policy.path, std::ios::binary).good()) {
-    if (policy.resume_info) *policy.resume_info = {};
-    bool mutated = false;  // components touched: a failure now is NOT recoverable
-    try {
-      ckpt::Reader r(policy.path, fp);
-      r.open_section("loop");
-      const bool was_finished = r.get_bool();
-      const Tick r_t = r.get_u64();
-      const Tick r_visited = r.get_u64();
-      const Tick r_tms = r.get_u64();
-      const bool r_measuring = r.get_bool();
-      const std::uint32_t r_done_count = r.get_u32();
-      const Tick r_next_epoch = r.get_u64();
-      const auto r_goal = r.get_u64_vec();
-      const auto r_base = r.get_u64_vec();
-      const auto r_finish = r.get_u64_vec();
-      if (r_goal.size() != n || r_base.size() != n || r_finish.size() != n) {
-        throw ckpt::SnapshotError("snapshot: loop-section core count mismatch");
-      }
-      std::vector<bool> r_done(n, false);
-      for (std::uint32_t c = 0; c < n; ++c) r_done[c] = r.get_bool();
-      auto r_epoch_insts = r.get_u64_vec();
-      auto r_epoch_bytes = r.get_u64_vec();
-      if (r_epoch_insts.size() != n || r_epoch_bytes.size() != n) {
-        throw ckpt::SnapshotError("snapshot: loop-section core count mismatch");
-      }
-      r.close_section();
-      mutated = true;
-      r.open_section("sched");
-      scheduler_->load_state(r);
-      r.close_section();
-      r.open_section("cores");
-      for (std::uint32_t c = 0; c < n; ++c) {
-        cores_[c]->load_state(r);
-        streams_[c]->load_state(r);
-      }
-      r.close_section();
-      r.open_section("cache");
-      hierarchy_->load_state(r);
-      r.close_section();
-      r.open_section("mc");
-      controller_->load_state(r);
-      r.close_section();
-      r.open_section("dram");
-      dram_->load_state(r);
-      r.close_section();
-      if (fault_) {
-        r.open_section("fault");
-        fault_->load_state(r);
-        r.close_section();
-      }
-      r.open_section("watchdogs");
-      for (std::uint32_t c = 0; c < n; ++c) watchdogs[c].load_state(r);
-      r.close_section();
-      finished = was_finished;
-      t = r_t;
-      visited = r_visited;
-      t_measure_start = r_tms;
-      measuring = r_measuring;
-      done_count = r_done_count;
-      next_epoch = r_next_epoch;
-      goal = r_goal;
-      base_cycle = r_base;
-      finish_cycle = r_finish;
-      done = r_done;
-      epoch_insts = std::move(r_epoch_insts);
-      epoch_bytes = std::move(r_epoch_bytes);
-      if (policy.resume_info) {
-        policy.resume_info->attempted = true;
-        policy.resume_info->resumed = true;
-      }
-    } catch (const ckpt::SnapshotError& e) {
-      if (mutated) throw;  // half-restored state cannot fall back cleanly
-      if (policy.resume_info) {
-        policy.resume_info->attempted = true;
-        policy.resume_info->resumed = false;
-        policy.resume_info->error = e.what();
-      }
-    }
-  }
-
-  Tick next_ckpt = kNeverTick;
-  if (policy.enabled() && policy.interval_ticks != 0) {
-    next_ckpt = (t / policy.interval_ticks + 1) * policy.interval_ticks;
-  }
-
-  while (!finished && t < max_ticks) {
-    if (policy.enabled()) {
-      const bool stop_now = (policy.stop != nullptr && *policy.stop != 0) ||
-                            (policy.stop_at_tick != 0 && t >= policy.stop_at_tick);
-      if (stop_now) {
-        if (policy.save_on_stop) save_snapshot();
-        throw ckpt::CheckpointStop(policy.path);
-      }
-      if (t >= next_ckpt) {
-        save_snapshot();
-        next_ckpt = (t / policy.interval_ticks + 1) * policy.interval_ticks;
-      }
-    }
-    ++visited;
+  Tick& t = loop.t;
+  for (;;) {
+    if (until == Until::kAllDone && loop.done_count == n) return true;
+    if (until == Until::kQuiescent && quiescent()) return true;
+    if (t >= max_ticks) return false;
+    before_tick();
+    ++loop.visited;
     hierarchy_->tick(t);
     controller_->tick(t);
     const CpuCycle window_end = (t + 1) * config_.cpu_ratio;
     for (std::uint32_t c = 0; c < n; ++c) {
       cores_[c]->step_to(window_end);
-      if (!done[c] && cores_[c]->committed() >= goal[c]) {
-        done[c] = true;
-        finish_cycle[c] = cores_[c]->cycle();
-        ++done_count;
+      if (!loop.done[c] && cores_[c]->committed() >= loop.goal[c]) {
+        loop.done[c] = true;
+        loop.finish_cycle[c] = cores_[c]->cycle();
+        ++loop.done_count;
       }
     }
     if ((t & kWatchdogPollMask) == 0 && watchdogs[0].enabled()) {
       for (std::uint32_t c = 0; c < n; ++c) {
-        // Early finishers keep running but owe no further progress; their
-        // lane resets instead of arming.
-        if (watchdogs[c].poll(t, cores_[c]->committed(), !done[c])) {
-          watchdogs[c].raise("core " + std::to_string(c) + " (closed-loop run, " +
-                                 (measuring ? "measurement" : "warmup") + " phase)",
+        // Early finishers keep running but owe no further progress, and
+        // paused (draining) cores owe none at all; their lane resets
+        // instead of arming.
+        if (watchdogs[c].poll(t, cores_[c]->committed(),
+                              until != Until::kQuiescent && !loop.done[c])) {
+          const char* phase = config_.engine == Engine::kSampled ? "sampled run"
+                              : loop.measuring ? "closed-loop run, measurement phase"
+                                               : "closed-loop run, warmup phase";
+          watchdogs[c].raise("core " + std::to_string(c) + " (" + phase + ")",
                              *controller_, *scheduler_, t);
         }
       }
     }
-    if (t >= next_epoch) {
-      next_epoch += config_.epoch_ticks;
+    if (t >= loop.next_epoch) {
+      loop.next_epoch += config_.epoch_ticks;
       if (auditor_) auditor_->cross_check(t);
       const auto& cs = controller_->stats();
       for (std::uint32_t c = 0; c < n; ++c) {
         const std::uint64_t insts = cores_[c]->committed();
         const std::uint64_t bytes = (cs.core_reads[c] + cs.core_writes[c]) * kLineBytes;
-        scheduler_->on_epoch(c, static_cast<double>(insts - epoch_insts[c]),
-                             static_cast<double>(bytes - epoch_bytes[c]));
-        epoch_insts[c] = insts;
-        epoch_bytes[c] = bytes;
+        scheduler_->on_epoch(c, static_cast<double>(insts - loop.epoch_insts[c]),
+                             static_cast<double>(bytes - loop.epoch_bytes[c]));
+        loop.epoch_insts[c] = insts;
+        loop.epoch_bytes[c] = bytes;
       }
     }
-    if (done_count == n) {
-      if (measuring) {
+    if (until == Until::kMeasured && loop.done_count == n) {
+      if (loop.measuring) {
         ++t;
-        break;
+        return true;
       }
-      begin_measurement();
-      t_measure_start = t + 1;
-      // Epoch traffic counters restart with the stats reset.
-      for (std::uint32_t c = 0; c < n; ++c) {
-        epoch_insts[c] = cores_[c]->committed();
-        epoch_bytes[c] = 0;
-      }
+      begin_measurement(loop, target_insts);
+      loop.t_measure_start = t + 1;
     }
     if (config_.engine == Engine::kCycle) {
       ++t;
@@ -390,26 +315,123 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
     }
     if (jump > t + 1) jump = std::min(jump, hierarchy_->next_activity_tick(t));
     if (jump > t + 1) jump = std::min(jump, controller_->next_activity_tick(t));
-    jump = std::min(jump, next_epoch);
+    jump = std::min(jump, loop.next_epoch);
     if (watchdogs[0].enabled())
       jump = std::min(jump, (t | kWatchdogPollMask) + 1);  // next poll boundary
     t = std::min(std::max(jump, t + 1), max_ticks);
   }
+}
 
-  if (!finished && policy.enabled()) {
-    // Park the completed state: a later invocation (e.g. an orchestrator
-    // retry of an already-finished point) resumes it and recomputes the
-    // identical result without re-simulating.
-    finished = true;
-    save_snapshot();
+RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_insts,
+                               Tick max_ticks, const ckpt::CheckpointPolicy& policy) {
+  MEMSCHED_ASSERT(target_insts > 0, "target instruction count must be positive");
+  if (ran_) {
+    throw std::logic_error(
+        "MultiCoreSystem::run called twice: a run starts at tick 0, so a system "
+        "simulates one run (build a fresh system for the next)");
+  }
+  ran_ = true;
+  if (config_.engine == Engine::kSampled)
+    return run_sampled(target_insts, warmup_insts, max_ticks, policy);
+  const std::uint32_t n = config_.cores;
+  if (policy.enabled() && auditor_) {
+    throw std::invalid_argument(
+        "checkpointing requires audit off: the auditor's shadow state is not "
+        "serialized, so a resumed run could not keep verifying (disable one)");
   }
 
+  Loop loop(n, config_.epoch_ticks);
+  loop.measuring = warmup_insts == 0;
+  start_phase(loop, loop.measuring ? target_insts : warmup_insts);
+
+  // One forward-progress watchdog per core: a single starved core must be
+  // caught even while its neighbours keep committing.
+  std::vector<ProgressWatchdog> watchdogs(n, ProgressWatchdog(config_.progress_window_ticks));
+
+  // --- checkpoint plumbing -------------------------------------------------
+  // A snapshot is taken at the top of a loop iteration, before tick t is
+  // processed: every component is self-consistent and the resumed run
+  // re-enters the loop at the same t, replaying the exact tick stream (and
+  // RNG draws) of the uninterrupted run. The post-loop snapshot sets
+  // `finished`; resuming it skips the loop and recomputes the RunResult from
+  // the restored state, which is deterministic — so a killed-and-resumed run
+  // produces a byte-identical report.
+  const std::string fp = policy.enabled()
+                             ? run_fingerprint(target_insts, warmup_insts, max_ticks,
+                                               policy.context)
+                             : std::string{};
+
+  auto save_snapshot = [&] {
+    ckpt::Writer w;
+    w.begin_section("loop");
+    loop.save_state(w);
+    save_state(w, watchdogs);
+    w.save(policy.path, fp);
+  };
+
+  if (policy.enabled() && policy.resume &&
+      std::ifstream(policy.path, std::ios::binary).good()) {
+    if (policy.resume_info) *policy.resume_info = {};
+    bool mutated = false;  // components touched: a failure now is NOT recoverable
+    try {
+      ckpt::Reader r(policy.path, fp);
+      Loop restored = loop;
+      r.open_section("loop");
+      restored.load_state(r);
+      r.close_section();
+      mutated = true;
+      load_state(r, watchdogs);
+      loop = std::move(restored);
+      if (policy.resume_info) {
+        policy.resume_info->attempted = true;
+        policy.resume_info->resumed = true;
+      }
+    } catch (const ckpt::SnapshotError& e) {
+      if (mutated) throw;  // half-restored state cannot fall back cleanly
+      if (policy.resume_info) {
+        policy.resume_info->attempted = true;
+        policy.resume_info->resumed = false;
+        policy.resume_info->error = e.what();
+      }
+    }
+  }
+
+  Tick next_ckpt = kNeverTick;
+  if (policy.enabled() && policy.interval_ticks != 0) {
+    next_ckpt = (loop.t / policy.interval_ticks + 1) * policy.interval_ticks;
+  }
+  auto checkpoint = [&] {
+    if (!policy.enabled()) return;
+    const Tick t = loop.t;
+    if ((policy.stop != nullptr && *policy.stop != 0) ||
+        (policy.stop_at_tick != 0 && t >= policy.stop_at_tick)) {
+      if (policy.save_on_stop) save_snapshot();
+      throw ckpt::CheckpointStop(policy.path);
+    }
+    if (t >= next_ckpt) {
+      save_snapshot();
+      next_ckpt = (t / policy.interval_ticks + 1) * policy.interval_ticks;
+    }
+  };
+
+  if (!loop.finished) {
+    advance(loop, watchdogs, Until::kMeasured, max_ticks, target_insts, checkpoint);
+    if (policy.enabled()) {
+      // Park the completed state: a later invocation (e.g. an orchestrator
+      // retry of an already-finished point) resumes it and recomputes the
+      // identical result without re-simulating.
+      loop.finished = true;
+      save_snapshot();
+    }
+  }
+
+  const Tick t = loop.t;
   if (auditor_) auditor_->finalize(t);
 
   RunResult result;
   result.ticks = t;
-  result.visited_ticks = visited;
-  result.hit_tick_limit = done_count < n || !measuring;
+  result.visited_ticks = loop.visited;
+  result.hit_tick_limit = loop.done_count < n || !loop.measuring;
   result.controller_stats = controller_->stats();
   result.avg_read_latency_cpu = result.controller_stats.read_latency_cpu.mean();
   result.row_hit_rate = result.controller_stats.row_hit_rate();
@@ -420,8 +442,9 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
   for (std::uint32_t c = 0; c < n; ++c) {
     CoreResult& cr = result.cores[c];
     cr.committed = cores_[c]->committed();
-    const CpuCycle end_cycle = done[c] && measuring ? finish_cycle[c] : cores_[c]->cycle();
-    const CpuCycle cycles = end_cycle > base_cycle[c] ? end_cycle - base_cycle[c] : 1;
+    const CpuCycle end_cycle =
+        loop.done[c] && loop.measuring ? loop.finish_cycle[c] : cores_[c]->cycle();
+    const CpuCycle cycles = end_cycle > loop.base_cycle[c] ? end_cycle - loop.base_cycle[c] : 1;
     cr.finish_cycle = end_cycle;
     cr.ipc = static_cast<double>(target_insts) / static_cast<double>(cycles);
     cr.avg_read_latency_cpu = result.controller_stats.core_read_latency_cpu[c].mean();
@@ -430,7 +453,7 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
     cr.core_stats = cores_[c]->stats();
     total_bytes += (cr.dram_reads + cr.dram_writes) * kLineBytes;
   }
-  const Tick measure_ticks = t > t_measure_start ? t - t_measure_start : 1;
+  const Tick measure_ticks = t > loop.t_measure_start ? t - loop.t_measure_start : 1;
   const double seconds = static_cast<double>(measure_ticks) / config_.bus_hz();
   result.bandwidth_gbs = static_cast<double>(total_bytes) / seconds / 1e9;
 
@@ -491,88 +514,16 @@ RunResult MultiCoreSystem::run_sampled(std::uint64_t target_insts,
   const std::uint64_t stride = std::max<std::uint64_t>(target_insts / intervals, warm + meas);
   const std::uint64_t ff = stride - (warm + meas);
 
-  std::vector<std::uint64_t> goal(n, 0);
-  std::vector<CpuCycle> finish_cycle(n, 0);
-  std::vector<bool> done(n, false);
-  std::uint32_t done_count = 0;
-  bool expect_progress = true;  ///< false while draining (cores paused)
-
-  std::vector<std::uint64_t> epoch_insts(n, 0);
-  std::vector<std::uint64_t> epoch_bytes(n, 0);
-  Tick next_epoch = config_.epoch_ticks;
-  constexpr Tick kWatchdogPollMask = 1023;
+  Loop loop(n, config_.epoch_ticks);
   std::vector<ProgressWatchdog> watchdogs(n, ProgressWatchdog(config_.progress_window_ticks));
-
-  Tick t = 0;
-  Tick visited = 0;
+  auto advance_until = [&](Until until) {
+    return advance(loop, watchdogs, until, max_ticks, 0, [] {});
+  };
 
   // Cumulative data-bus busy ticks, recoverable from the utilization ratio.
   auto busy_ticks = [&]() -> double {
+    const Tick t = loop.t;
     return t == 0 ? 0.0 : dram_->data_bus_utilization(t) * static_cast<double>(t);
-  };
-
-  // One simulated bus tick plus the cycle-skip jump — the same stepping,
-  // epoch and watchdog protocol as run(), without checkpoint plumbing.
-  auto tick_once = [&] {
-    ++visited;
-    hierarchy_->tick(t);
-    controller_->tick(t);
-    const CpuCycle window_end = (t + 1) * config_.cpu_ratio;
-    for (std::uint32_t c = 0; c < n; ++c) {
-      cores_[c]->step_to(window_end);
-      if (!done[c] && cores_[c]->committed() >= goal[c]) {
-        done[c] = true;
-        finish_cycle[c] = cores_[c]->cycle();
-        ++done_count;
-      }
-    }
-    if ((t & kWatchdogPollMask) == 0 && watchdogs[0].enabled()) {
-      for (std::uint32_t c = 0; c < n; ++c) {
-        if (watchdogs[c].poll(t, cores_[c]->committed(), expect_progress && !done[c])) {
-          watchdogs[c].raise("core " + std::to_string(c) + " (sampled run)",
-                             *controller_, *scheduler_, t);
-        }
-      }
-    }
-    if (t >= next_epoch) {
-      next_epoch += config_.epoch_ticks;
-      if (auditor_) auditor_->cross_check(t);
-      const auto& cs = controller_->stats();
-      for (std::uint32_t c = 0; c < n; ++c) {
-        const std::uint64_t insts = cores_[c]->committed();
-        const std::uint64_t bytes = (cs.core_reads[c] + cs.core_writes[c]) * kLineBytes;
-        scheduler_->on_epoch(c, static_cast<double>(insts - epoch_insts[c]),
-                             static_cast<double>(bytes - epoch_bytes[c]));
-        epoch_insts[c] = insts;
-        epoch_bytes[c] = bytes;
-      }
-    }
-    Tick jump = kNeverTick;
-    for (std::uint32_t c = 0; c < n; ++c) {
-      const CpuCycle wake = cores_[c]->next_activity_cycle();
-      if (wake != cpu::CoreModel::kIdle)
-        jump = std::min(jump, std::max(wake / config_.cpu_ratio, t + 1));
-    }
-    if (jump > t + 1) jump = std::min(jump, hierarchy_->next_activity_tick(t));
-    if (jump > t + 1) jump = std::min(jump, controller_->next_activity_tick(t));
-    jump = std::min(jump, next_epoch);
-    if (watchdogs[0].enabled()) jump = std::min(jump, (t | kWatchdogPollMask) + 1);
-    t = std::min(std::max(jump, t + 1), max_ticks);
-  };
-
-  // Detailed execution until every core commits `insts` more instructions.
-  auto run_detailed = [&](std::uint64_t insts) -> bool {
-    for (std::uint32_t c = 0; c < n; ++c) {
-      goal[c] = cores_[c]->committed() + insts;
-      done[c] = false;
-    }
-    done_count = 0;
-    expect_progress = true;
-    while (done_count < n) {
-      if (t >= max_ticks) return false;
-      tick_once();
-    }
-    return true;
   };
 
   // Pause the cores and tick until nothing is in flight anywhere the
@@ -582,21 +533,7 @@ RunResult MultiCoreSystem::run_sampled(std::uint64_t target_insts,
   // the next interval's detailed warmup absorbs them.
   auto drain = [&]() -> bool {
     for (auto& core : cores_) core->set_paused(true);
-    expect_progress = false;
-    auto quiescent = [&] {
-      if (!hierarchy_->idle()) return false;
-      for (const auto& core : cores_)
-        if (!core->quiescent()) return false;
-      return true;
-    };
-    bool ok = true;
-    while (!quiescent()) {
-      if (t >= max_ticks) {
-        ok = false;
-        break;
-      }
-      tick_once();
-    }
+    const bool ok = advance_until(Until::kQuiescent);
     for (auto& core : cores_) core->set_paused(false);
     return ok;
   };
@@ -618,34 +555,28 @@ RunResult MultiCoreSystem::run_sampled(std::uint64_t target_insts,
   std::vector<std::vector<double>> core_ipc_samples(n);
   std::vector<double> ipc_samples, lat_samples, rhr_samples, bw_samples,
       util_samples, ratio_samples;
-  std::vector<CpuCycle> base_cycle(n, 0);
   std::uint64_t measured_insts = 0;
   std::uint64_t skipped_insts = warmup_insts;
   bool hit_limit = false;
 
   for (std::uint32_t k = 0; k < intervals; ++k) {
-    if (!run_detailed(warm)) {
+    start_phase(loop, warm);
+    if (!advance_until(Until::kAllDone)) {
       hit_limit = true;
       break;
     }
-    controller_->reset_stats();
-    hierarchy_->reset_stats();
-    for (std::uint32_t c = 0; c < n; ++c) {
-      cores_[c]->reset_stats();
-      base_cycle[c] = cores_[c]->cycle();
-      epoch_insts[c] = cores_[c]->committed();
-      epoch_bytes[c] = 0;
-    }
-    const Tick t_start = t;
+    begin_measurement(loop, meas);
+    const Tick t_start = loop.t;
     const double busy_start = busy_ticks();
-    if (!run_detailed(meas)) {
+    if (!advance_until(Until::kAllDone)) {
       hit_limit = true;
       break;
     }
     double ipc_sum = 0.0, ipc_min = 0.0, ipc_max = 0.0;
     for (std::uint32_t c = 0; c < n; ++c) {
-      const CpuCycle cycles =
-          finish_cycle[c] > base_cycle[c] ? finish_cycle[c] - base_cycle[c] : 1;
+      const CpuCycle cycles = loop.finish_cycle[c] > loop.base_cycle[c]
+                                  ? loop.finish_cycle[c] - loop.base_cycle[c]
+                                  : 1;
       const double ipc = static_cast<double>(meas) / static_cast<double>(cycles);
       core_ipc_samples[c].push_back(ipc);
       ipc_sum += ipc;
@@ -660,7 +591,7 @@ RunResult MultiCoreSystem::run_sampled(std::uint64_t target_insts,
     std::uint64_t bytes = 0;
     for (std::uint32_t c = 0; c < n; ++c)
       bytes += (cs.core_reads[c] + cs.core_writes[c]) * kLineBytes;
-    const Tick dt = t > t_start ? t - t_start : 1;
+    const Tick dt = loop.t > t_start ? loop.t - t_start : 1;
     bw_samples.push_back(static_cast<double>(bytes) /
                          (static_cast<double>(dt) / config_.bus_hz()) / 1e9);
     util_samples.push_back((busy_ticks() - busy_start) / static_cast<double>(dt));
@@ -676,11 +607,12 @@ RunResult MultiCoreSystem::run_sampled(std::uint64_t target_insts,
     }
   }
 
+  const Tick t = loop.t;
   if (auditor_) auditor_->finalize(t);
 
   RunResult result;
   result.ticks = t;             // detailed (simulated) ticks only
-  result.visited_ticks = visited;
+  result.visited_ticks = loop.visited;
   result.hit_tick_limit = hit_limit;
   result.controller_stats = controller_->stats();  // final interval's window
 

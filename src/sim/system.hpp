@@ -17,6 +17,7 @@
 #include "mc/controller.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/system_config.hpp"
+#include "sim/watchdog.hpp"
 #include "trace/app_profile.hpp"
 #include "trace/inst_stream.hpp"
 
@@ -120,6 +121,10 @@ class MultiCoreSystem {
   /// serialization of it) is byte-identical. Checkpointing is rejected while
   /// the invariant auditor is attached (its shadow state is not serialized,
   /// so a resumed run could not keep verifying).
+  ///
+  /// A system runs once: the run starts the clock at tick 0, so a second
+  /// call would re-simulate time over advanced state. It throws
+  /// std::logic_error instead (exit category "internal").
   RunResult run(std::uint64_t target_insts, std::uint64_t warmup_insts = 20'000,
                 Tick max_ticks = ~Tick{0} >> 1,
                 const ckpt::CheckpointPolicy& policy = {});
@@ -138,6 +143,58 @@ class MultiCoreSystem {
   [[nodiscard]] const mc::FaultInjector* fault_injector() const { return fault_.get(); }
 
  private:
+  /// The kernel's state between ticks, carried across advance() calls and
+  /// saved as the snapshot's "loop" section.
+  struct Loop {
+    Loop(std::uint32_t cores, Tick epoch_ticks)
+        : next_epoch(epoch_ticks), goal(cores, 0), base_cycle(cores, 0),
+          finish_cycle(cores, 0), done(cores, false), epoch_insts(cores, 0),
+          epoch_bytes(cores, 0) {}
+    void save_state(ckpt::Writer& w) const;
+    void load_state(ckpt::Reader& r);
+
+    bool finished = false;  ///< run() completed (a parked finished snapshot)
+    Tick t = 0;
+    Tick visited = 0;
+    Tick t_measure_start = 0;
+    bool measuring = false;
+    std::uint32_t done_count = 0;
+    Tick next_epoch;
+    std::vector<std::uint64_t> goal;     ///< committed count that ends the phase
+    std::vector<CpuCycle> base_cycle;    ///< measurement start per core
+    std::vector<CpuCycle> finish_cycle;  ///< cycle the core reached its goal
+    std::vector<bool> done;
+    std::vector<std::uint64_t> epoch_insts;  ///< per-core counters at the
+    std::vector<std::uint64_t> epoch_bytes;  ///< previous on_epoch boundary
+  };
+
+  /// What ends an advance() call.
+  enum class Until {
+    kMeasured,   ///< every core done in the measurement phase (run(); the
+                 ///< warmup-to-measurement switch happens on the way)
+    kAllDone,    ///< every core reached its goal
+    kQuiescent,  ///< nothing in flight (cores paused: no progress is owed)
+  };
+
+  /// The closed-loop kernel. Visits ticks until `until` holds: component
+  /// ticks, per-core watchdog poll, system epoch feed, warmup-to-measurement
+  /// switch and the skip engine's next-event jump. `before_tick()` runs at
+  /// the top of every iteration (run()'s checkpoint schedule). Returns false
+  /// when `max_ticks` cut it short.
+  template <typename BeforeTick>
+  bool advance(Loop& loop, std::vector<ProgressWatchdog>& watchdogs, Until until,
+               Tick max_ticks, std::uint64_t target_insts, BeforeTick&& before_tick);
+
+  /// Sets every core's goal `insts` past its committed count.
+  void start_phase(Loop& loop, std::uint64_t insts) const;
+  /// Zeroes all statistics, then start_phase(loop, insts).
+  void begin_measurement(Loop& loop, std::uint64_t insts);
+  [[nodiscard]] bool quiescent() const;
+
+  /// Every snapshot section after "loop", in file order.
+  void save_state(ckpt::Writer& w, const std::vector<ProgressWatchdog>& watchdogs) const;
+  void load_state(ckpt::Reader& r, std::vector<ProgressWatchdog>& watchdogs);
+
   void wire(sched::Scheduler& scheduler, const std::vector<double>& dispatch_ipc,
             std::uint64_t seed);
 
@@ -165,6 +222,7 @@ class MultiCoreSystem {
   sched::Scheduler* scheduler_ = nullptr;
   std::uint64_t seed_ = 0;              ///< for the snapshot fingerprint
   std::vector<double> dispatch_ipc_;    ///< ditto
+  bool ran_ = false;                    ///< run() was called (it runs once)
 };
 
 }  // namespace memsched::sim

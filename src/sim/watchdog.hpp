@@ -33,6 +33,12 @@ class Reader;
 
 namespace memsched::sim {
 
+/// The run loops poll their watchdogs on ticks t with (t & kWatchdogPollMask)
+/// == 0. Progress counters are monotonic, so sparse polling only delays
+/// detection by at most one poll interval; the skip engine never jumps over a
+/// poll boundary, so every engine polls at the same ticks with the same state.
+inline constexpr Tick kWatchdogPollMask = 1023;
+
 /// No instruction committed and no request retired for a full watchdog
 /// window while work was pending. what() includes the state dump.
 class LivelockError : public std::runtime_error {

@@ -28,7 +28,6 @@
 #include "ckpt/snapshot.hpp"
 #include "core/scheduler_factory.hpp"
 #include "sim/json_report.hpp"
-#include "sim/open_loop.hpp"
 #include "sim/system.hpp"
 #include "sim/workloads.hpp"
 #include "util/rng.hpp"
@@ -485,73 +484,6 @@ TEST(Ckpt, AuditorAndCheckpointAreIncompatible) {
   ckpt::CheckpointPolicy p;
   p.path = tmp_path("audit_reject.ckpt");
   EXPECT_THROW(run_once(cfg, w, "HF-RF", p), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Open-loop kill-and-resume differential.
-// ---------------------------------------------------------------------------
-
-void expect_open_loop_equal(const sim::OpenLoopResult& a, const sim::OpenLoopResult& b) {
-  EXPECT_EQ(a.offered_per_tick, b.offered_per_tick);
-  EXPECT_EQ(a.accepted_per_tick, b.accepted_per_tick);
-  EXPECT_EQ(a.rejected_share, b.rejected_share);
-  EXPECT_EQ(a.avg_read_latency_ticks, b.avg_read_latency_ticks);
-  EXPECT_EQ(a.p50_ticks, b.p50_ticks);
-  EXPECT_EQ(a.p90_ticks, b.p90_ticks);
-  EXPECT_EQ(a.p99_ticks, b.p99_ticks);
-  EXPECT_EQ(a.row_hit_rate, b.row_hit_rate);
-  EXPECT_EQ(a.data_bus_utilization, b.data_bus_utilization);
-}
-
-class OpenLoopKillResume : public ::testing::TestWithParam<sim::Engine> {};
-
-TEST_P(OpenLoopKillResume, ByteIdenticalResult) {
-  sim::OpenLoopConfig cfg;
-  cfg.engine = GetParam();
-  cfg.audit.enabled = false;
-  cfg.measure_ticks = 20'000;
-  cfg.fault.enabled = true;
-  cfg.fault.seed = 3;
-  cfg.fault.delay_prob = 0.02;
-
-  const sched::SchedulerPtr ref = make_sched("HF-RF", cfg.cores);
-  const sim::OpenLoopResult baseline = sim::run_open_loop(cfg, *ref);
-
-  const std::string path = tmp_path(
-      std::string("openloop_") + (cfg.engine == sim::Engine::kCycle ? "cyc" : "skp") +
-      ".ckpt");
-  std::remove(path.c_str());
-  ckpt::CheckpointPolicy p;
-  p.path = path;
-  p.interval_ticks = 1'000;
-  p.save_on_stop = false;
-  for (const Tick kill : {Tick{2'345}, Tick{11'003}}) {
-    ckpt::CheckpointPolicy kp = p;
-    kp.stop_at_tick = kill;
-    const sched::SchedulerPtr s = make_sched("HF-RF", cfg.cores);
-    EXPECT_THROW(sim::run_open_loop(cfg, *s, kp), ckpt::CheckpointStop);
-  }
-  ckpt::ResumeInfo info;
-  ckpt::CheckpointPolicy fin = p;
-  fin.resume_info = &info;
-  const sched::SchedulerPtr s = make_sched("HF-RF", cfg.cores);
-  expect_open_loop_equal(sim::run_open_loop(cfg, *s, fin), baseline);
-  EXPECT_TRUE(info.resumed) << info.error;
-}
-
-INSTANTIATE_TEST_SUITE_P(Engines, OpenLoopKillResume,
-                         ::testing::Values(sim::Engine::kCycle, sim::Engine::kSkip),
-                         [](const auto& pi) {
-                           return pi.param == sim::Engine::kCycle ? "Cycle" : "Skip";
-                         });
-
-TEST(OpenLoopCkpt, AuditorRejected) {
-  sim::OpenLoopConfig cfg;
-  cfg.audit.enabled = true;
-  ckpt::CheckpointPolicy p;
-  p.path = tmp_path("openloop_audit.ckpt");
-  const sched::SchedulerPtr s = make_sched("HF-RF", cfg.cores);
-  EXPECT_THROW(sim::run_open_loop(cfg, *s, p), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "harness/guarded_main.hpp"
 #include "sched/policies.hpp"
 #include "sim/experiment.hpp"
 #include "sim/json_report.hpp"
@@ -305,6 +306,31 @@ TEST(System, RejectsMismatchedApps) {
   sched::HitFirstReadFirstScheduler s;
   EXPECT_DEATH_IF_SUPPORTED(
       { MultiCoreSystem sys(cfg, {trace::spec2000_by_name("swim")}, s, 1); }, "");
+}
+
+TEST(System, SecondRunIsRefusedAsInternalError) {
+  // Every run starts its clock at tick 0, so a second run() on one system
+  // would re-simulate time over already-advanced state and report garbage
+  // (core-0 IPC 0.491 -> 0.014 when it was allowed). It is a programming
+  // error: std::logic_error, exit category "internal" (not "usage").
+  for (const Engine engine : {Engine::kSkip, Engine::kSampled}) {
+    SystemConfig cfg;
+    cfg.cores = 2;
+    cfg.engine = engine;
+    cfg.sampling.intervals = 2;
+    cfg.sampling.interval_insts = 1'000;
+    cfg.sampling.warmup_insts = 500;
+    sched::HitFirstReadFirstScheduler s;
+    MultiCoreSystem sys(cfg, two_apps(), s, 7);
+    sys.run(5'000, 0);
+    try {
+      sys.run(200, 0);
+      ADD_FAILURE() << engine_name(engine) << ": a second run() returned a result";
+    } catch (const std::logic_error&) {
+      EXPECT_EQ(harness::classify_current_exception().category, "internal")
+          << engine_name(engine);
+    }
+  }
 }
 
 // ------------------------------------------------------------ open loop ---
