@@ -36,15 +36,19 @@ ARGS="workloads=2MEM-1 schemes=FCFS,FCFS-RF,HF-RF,LREQ,ME,ME-LREQ,BLISS,TCM,CADS
 "$SWEEP" grid $ARGS manifest="$WORK/ref.m" report="$WORK/ref.r" > /dev/null
 
 echo "== cache 1: warm re-run is byte-identical to cold, jobs=1 and jobs=4 =="
-"$SWEEP" grid $ARGS cache="$WORK/store1" manifest="$WORK/cold.m" \
-    report="$WORK/cold.r" > /dev/null
+COLD_OUT=$("$SWEEP" grid $ARGS cache="$WORK/store1" manifest="$WORK/cold.m" \
+    report="$WORK/cold.r")
 cmp "$WORK/ref.r" "$WORK/cold.r" ||
     { echo "cache_smoke: cold cached report differs from uncached" >&2; exit 1; }
+# The grid size comes from the sweep itself, so it cannot drift from ARGS.
+POINTS=$(echo "$COLD_OUT" | sed -n 's/^sweep: \([0-9]*\) points.*/\1/p')
+[ -n "$POINTS" ] ||
+    { echo "cache_smoke: cold run printed no 'sweep: N points' line" >&2; exit 1; }
 rm -f "$WORK/cold.m" "$WORK/cold.m.timing.json"
 WARM_OUT=$("$SWEEP" grid $ARGS cache="$WORK/store1" manifest="$WORK/warm1.m" \
-    report="$WORK/warm1.r")
-echo "$WARM_OUT" | grep -q "cache: 6 hits" ||
-    { echo "cache_smoke: warm run did not serve all 6 points" >&2; exit 1; }
+    report="$WORK/warm1.r" --jobs 1)
+echo "$WARM_OUT" | grep -q "cache: $POINTS hits" ||
+    { echo "cache_smoke: warm run did not serve all $POINTS points" >&2; exit 1; }
 cmp "$WORK/ref.r" "$WORK/warm1.r" ||
     { echo "cache_smoke: warm jobs=1 report differs" >&2; exit 1; }
 "$SWEEP" grid $ARGS cache="$WORK/store1" manifest="$WORK/warm4.m" \
@@ -53,7 +57,7 @@ cmp "$WORK/ref.r" "$WORK/warm4.r" ||
     { echo "cache_smoke: warm jobs=4 report differs" >&2; exit 1; }
 cmp "$WORK/warm1.m" "$WORK/warm4.m" ||
     { echo "cache_smoke: warm manifests differ across pool widths" >&2; exit 1; }
-echo "  all 6 points served from cache; reports byte-identical at both widths"
+echo "  all $POINTS points served from cache; reports byte-identical at both widths"
 
 echo "== cache 2: SIGKILL while populating never tears an entry =="
 for DELAY in 0.05 0.10 0.15 0.20 0.30 0.45; do

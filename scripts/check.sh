@@ -84,6 +84,10 @@ echo "== serve smoke (sweep daemon kill/restart + queue faults, see docs/robustn
 scripts/serve_smoke.sh build > /dev/null
 echo "  serve smoke ok"
 
+echo "== cache smoke (result-cache kill matrix + fs faults, see docs/robustness.md) =="
+scripts/cache_smoke.sh build > /dev/null
+echo "  cache smoke ok"
+
 echo "== sweep scaling (wall-clock at jobs=1/2/4 -> BENCH_sweep.json) =="
 python3 scripts/check_sweep_scaling.py build --out /tmp/BENCH_sweep.json
 rm -f /tmp/BENCH_sweep.json

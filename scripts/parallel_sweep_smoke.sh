@@ -3,16 +3,19 @@
 # binaries (the unit tests emulate workers in-process; this script uses real
 # processes and real signals).
 #
+# jobs=1 is the same pool with one worker slot; the jobs=1 runs below are
+# the references the wider runs must match.
+#
 #   1. The determinism contract: the same grid swept at jobs=4 and jobs=1
 #      must produce byte-identical manifests and reports — completion order,
 #      dispatch order, and pool width must never leak into the output.
 #   2. Worker loss: one worker child SIGKILLed mid-pool is recorded as a
 #      crash gap, the rest of the sweep completes; the next invocation
 #      re-runs ONLY the lost point (resuming from its snapshot) and the
-#      repaired report is byte-identical to an uninterrupted serial run.
-#   3. Graceful stop: SIGTERM to the sweep fans out to every live worker,
-#      each parks its state, the sweep exits with the "interrupted" contract
-#      code (6), and the resume is byte-identical.
+#      repaired report is byte-identical to an uninterrupted jobs=1 run.
+#   3. Graceful stop, at jobs=4 and at jobs=1: SIGTERM to the sweep fans out
+#      to every live worker, each parks its state, the sweep exits with the
+#      "interrupted" contract code (6), and the resume is byte-identical.
 #
 # Usage: scripts/parallel_sweep_smoke.sh [build-dir]   (default: build)
 set -eu
@@ -79,29 +82,35 @@ cmp "$WORK/kref.m" "$WORK/kill.m" ||
       exit 1; }
 echo "  lost worker re-ran on resume; report is byte-identical"
 
-echo "== pool 3: SIGTERM fans out, exit 6, resume -> byte-identical =="
-"$SWEEP" grid $KGRID jobs=4 manifest="$WORK/term.m" report="$WORK/unused2.r" \
-    > /dev/null 2>&1 &
-PID=$!
-i=0
-until ls "$WORK"/term.m.work/point-*.ckpt.d/*.ckpt > /dev/null 2>&1; do
-  [ $i -lt 600 ] ||
-      { echo "parallel_sweep_smoke: no snapshot appeared within 30s" >&2
+# At jobs=1 the one worker gets SIGTERM through the same fan-out as at jobs=4.
+for JOBS in 4 1; do
+  echo "== pool 3 (jobs=$JOBS): SIGTERM fans out, exit 6, resume -> byte-identical =="
+  TERM_M="$WORK/term$JOBS.m"
+  "$SWEEP" grid $KGRID jobs=$JOBS manifest="$TERM_M" report="$WORK/unused2.r" \
+      > /dev/null 2>&1 &
+  PID=$!
+  i=0
+  until ls "$TERM_M".work/point-*.ckpt.d/*.ckpt > /dev/null 2>&1; do
+    [ $i -lt 600 ] ||
+        { echo "parallel_sweep_smoke: no snapshot appeared within 30s" >&2
+          exit 1; }
+    sleep 0.05
+    i=$((i + 1))
+  done
+  kill -TERM "$PID" 2> /dev/null || true
+  RC=0
+  wait "$PID" || RC=$?
+  [ "$RC" -eq 6 ] ||
+      { echo "parallel_sweep_smoke: expected exit 6 (interrupted) at jobs=$JOBS," \
+             "got $RC" >&2
         exit 1; }
-  sleep 0.05
-  i=$((i + 1))
+  "$SWEEP" grid $KGRID jobs=$JOBS manifest="$TERM_M" report="$WORK/term.r" \
+      > /dev/null
+  cmp "$WORK/kref.r" "$WORK/term.r" ||
+      { echo "parallel_sweep_smoke: post-SIGTERM resumed report differs" \
+             "at jobs=$JOBS" >&2
+        exit 1; }
+  echo "  graceful stop honored at jobs=$JOBS; resumed report byte-identical"
 done
-kill -TERM "$PID" 2> /dev/null || true
-RC=0
-wait "$PID" || RC=$?
-[ "$RC" -eq 6 ] ||
-    { echo "parallel_sweep_smoke: expected exit 6 (interrupted), got $RC" >&2
-      exit 1; }
-"$SWEEP" grid $KGRID jobs=4 manifest="$WORK/term.m" report="$WORK/term.r" \
-    > /dev/null
-cmp "$WORK/kref.r" "$WORK/term.r" ||
-    { echo "parallel_sweep_smoke: post-SIGTERM resumed report differs" >&2
-      exit 1; }
-echo "  graceful stop honored across the pool; resumed report byte-identical"
 
 echo "PARALLEL SWEEP SMOKE PASSED"

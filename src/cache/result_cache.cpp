@@ -333,7 +333,7 @@ void ResultCache::try_put(const std::string& point_name, const std::string& payl
 
   // A leftover intent under OUR exclusive lock can only belong to a dead
   // writer (a live one would still hold the flock). Reclaim: park any tmp
-  // file it abandoned, then drop the intent.
+  // file it left behind, then drop the intent.
   if (fs::exists(intent, ec)) {
     const fs::path shard = fs::path(entry).parent_path();
     const std::string stem = fs::path(entry).filename().string();  // <key>.entry

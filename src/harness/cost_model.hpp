@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace memsched::harness {
 
@@ -42,41 +41,5 @@ class CostModel {
  private:
   std::map<std::string, double> wall_ms_;
 };
-
-/// Dispatch order for the pending point indices: longest expected first,
-/// index order on ties (deterministic regardless of map iteration quirks).
-/// `estimate(i)` must return the expected cost of point `i`.
-template <typename EstimateFn>
-std::vector<std::size_t> longest_first_order(const std::vector<std::size_t>& pending,
-                                             EstimateFn&& estimate);
-
-}  // namespace memsched::harness
-
-// ---------------------------------------------------------------------------
-// Template implementation.
-
-#include <algorithm>
-
-namespace memsched::harness {
-
-template <typename EstimateFn>
-std::vector<std::size_t> longest_first_order(const std::vector<std::size_t>& pending,
-                                             EstimateFn&& estimate) {
-  struct Entry {
-    std::size_t index;
-    double cost;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(pending.size());
-  for (const std::size_t i : pending) entries.push_back({i, estimate(i)});
-  std::stable_sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    if (a.cost != b.cost) return a.cost > b.cost;
-    return a.index < b.index;
-  });
-  std::vector<std::size_t> out;
-  out.reserve(entries.size());
-  for (const Entry& e : entries) out.push_back(e.index);
-  return out;
-}
 
 }  // namespace memsched::harness

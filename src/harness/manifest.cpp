@@ -97,10 +97,10 @@ void Manifest::record(const PointRecord& rec) {
     }
   }
   if (!replaced) {
-    // Keep records_ sorted by point index: parallel sweeps record
-    // completions out of order, but every checkpoint (and the report built
-    // from records()) must be byte-identical to a serial run over the same
-    // recorded set.
+    // Keep records_ sorted by point index: the pool records completions out
+    // of index order at every width (longest-expected-first dispatch), but
+    // every checkpoint (and the report built from records()) must be
+    // byte-identical to an index-order run over the same recorded set.
     const auto pos = std::upper_bound(
         records_.begin(), records_.end(), rec.index,
         [](std::uint32_t idx, const PointRecord& r) { return idx < r.index; });

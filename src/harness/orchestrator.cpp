@@ -34,11 +34,6 @@ double ms_since(Clock::time_point start) {
   return util::ms_between(start, util::monotonic_now());
 }
 
-void sleep_seconds(double seconds) {
-  if (seconds <= 0.0) return;
-  ::usleep(static_cast<useconds_t>(seconds * 1e6));
-}
-
 /// Replaces fd `target` with a freshly created file (child-side only).
 void redirect_to_file(const std::string& path, int target) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -155,15 +150,13 @@ bool Orchestrator::cache_lookup(const PointSpec& point, std::size_t index,
 
 SweepSummary Orchestrator::run(const std::vector<PointSpec>& points) {
   const auto start = util::monotonic_now();
-  const std::uint32_t jobs = resolve_jobs(cfg_.jobs);
-  // The pool needs fork isolation (watchdog and crash shielding live in the
-  // child boundary), and stop_after counts executions in point order, so
-  // either constraint forces the serial path.
-  const bool pooled = jobs > 1 && cfg_.isolate && cfg_.stop_after == 0;
+  // Points overlap only behind the fork boundary, where the watchdog and
+  // crash shielding live; in-process points run one at a time.
+  const std::uint32_t jobs = cfg_.isolate ? resolve_jobs(cfg_.jobs) : 1;
 
-  SweepSummary summary = pooled ? run_pool(points, jobs) : run_serial(points);
-  summary.jobs = pooled ? jobs : 1;
-  run_jobs_ = summary.jobs;
+  SweepSummary summary = run_pool(points, jobs);
+  summary.jobs = jobs;
+  run_jobs_ = jobs;
   run_wall_ms_ = ms_since(start);
   summary.wall_ms = run_wall_ms_;
   cost_.save(timing_path());
@@ -178,61 +171,6 @@ SweepSummary Orchestrator::run(const std::vector<PointSpec>& points) {
                  static_cast<unsigned long long>(cs.store_errors + cs.read_errors +
                                                  cs.lock_timeouts),
                  static_cast<unsigned long long>(cs.quarantined));
-  }
-  return summary;
-}
-
-SweepSummary Orchestrator::run_serial(const std::vector<PointSpec>& points) {
-  SweepSummary summary;
-  summary.total = points.size();
-
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const PointSpec& point = points[i];
-    if (cfg_.stop != nullptr && *cfg_.stop != 0) {
-      summary.interrupted = true;
-      break;
-    }
-    if (const PointRecord* prev = manifest_.find(point.name);
-        prev != nullptr && prev->ok()) {
-      ++summary.resumed;
-      ++summary.ok;
-      if (cfg_.verbose) {
-        std::fprintf(stderr, "[sweep] %zu/%zu %s: ok (resumed from manifest)\n", i + 1,
-                     points.size(), point.name.c_str());
-      }
-      continue;
-    }
-    if (cache_lookup(point, i, summary, i + 1)) continue;
-    if (cfg_.stop_after != 0 && summary.executed >= cfg_.stop_after) {
-      summary.abandoned = true;
-      break;
-    }
-
-    PointRecord rec = execute_point(point, i);
-    if (rec.status == "interrupted") {
-      // Graceful stop mid-point: the child parked its state in the per-point
-      // snapshot. Deliberately NOT recorded — the next invocation re-runs
-      // this point and it resumes from the snapshot.
-      summary.interrupted = true;
-      if (cfg_.verbose) {
-        std::fprintf(stderr, "[sweep] %zu/%zu %s: interrupted (state checkpointed)\n",
-                     i + 1, points.size(), point.name.c_str());
-      }
-      break;
-    }
-    commit_record(rec, point.argv.empty());
-    ++summary.executed;
-    if (rec.ok()) {
-      ++summary.ok;
-    } else {
-      ++summary.failed;
-    }
-    if (cfg_.verbose) {
-      std::fprintf(stderr, "[sweep] %zu/%zu %s: %s (%s, %u attempt%s, %.0f ms)\n",
-                   i + 1, points.size(), point.name.c_str(), rec.status.c_str(),
-                   rec.category.c_str(), rec.attempts, rec.attempts == 1 ? "" : "s",
-                   rec.wall_ms);
-    }
   }
   return summary;
 }
@@ -301,7 +239,8 @@ SweepSummary Orchestrator::run_pool(const std::vector<PointSpec>& points,
   bool halting = false;    // stop dispatching (graceful stop or interrupted child)
 
   // Final outcome of one attempt: retry with backoff, halt on interruption,
-  // or commit to the manifest. Shared by the reaper and the fork-failure path.
+  // or commit to the manifest. Shared by the reaper, the in-process runner
+  // and the fork-failure path.
   const auto handle_outcome = [&](PointRecord rec, std::size_t index,
                                   std::uint32_t attempt) {
     if (rec.status == "interrupted") {
@@ -372,6 +311,7 @@ SweepSummary Orchestrator::run_pool(const std::vector<PointSpec>& points,
 
     // Dispatch: fill free slots with ready points, longest expected first
     // (pending is kept sorted; the scan skips entries still in backoff).
+    bool progressed = false;
     while (!halting && slots.size() < jobs && !pending.empty()) {
       const auto now = util::monotonic_now();
       const auto it = std::find_if(pending.begin(), pending.end(),
@@ -379,6 +319,15 @@ SweepSummary Orchestrator::run_pool(const std::vector<PointSpec>& points,
       if (it == pending.end()) break;
       const Pending p = *it;
       pending.erase(it);
+      if (!cfg_.isolate && points[p.index].argv.empty()) {
+        // In-process (width 1): the point runs to completion here, then the
+        // loop top checks the stop flag before the next one.
+        PointRecord rec = run_inline(points[p.index], p.index);
+        rec.attempts = p.attempt;
+        handle_outcome(std::move(rec), p.index, p.attempt);
+        progressed = true;
+        break;
+      }
       const pid_t pid = spawn_child(points[p.index], p.index, siblings);
       if (pid < 0) {
         PointRecord rec;
@@ -407,7 +356,6 @@ SweepSummary Orchestrator::run_pool(const std::vector<PointSpec>& points,
     // Reap: non-blocking wait on each known pid. Deliberately per-pid, not
     // waitpid(-1) — point bodies may fork children of their own and the
     // pool must never steal their exit statuses.
-    bool reaped = false;
     for (std::size_t si = 0; si < slots.size();) {
       Slot& s = slots[si];
       int status = 0;
@@ -444,7 +392,7 @@ SweepSummary Orchestrator::run_pool(const std::vector<PointSpec>& points,
       const std::uint32_t attempt = s.attempt;
       slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(si));
       handle_outcome(std::move(rec), index, attempt);
-      reaped = true;
+      progressed = true;
     }
 
     // Live progress + ETA. Rate = estimated cost retired per wall ms across
@@ -464,35 +412,10 @@ SweepSummary Orchestrator::run_pool(const std::vector<PointSpec>& points,
     }
     ticker.update(st);
 
-    if (!reaped) ::usleep(2000);
+    if (!progressed) ::usleep(2000);
   }
   ticker.finish();
   return summary;
-}
-
-PointRecord Orchestrator::execute_point(const PointSpec& point, std::size_t index) {
-  PointRecord rec;
-  for (std::uint32_t attempt = 1; attempt <= cfg_.max_attempts; ++attempt) {
-    rec = run_attempt(point, index);
-    rec.name = point.name;
-    rec.index = static_cast<std::uint32_t>(index);
-    rec.attempts = attempt;
-    if (rec.ok() || rec.status == "interrupted") break;
-    if (attempt < cfg_.max_attempts) {
-      if (cfg_.verbose) {
-        std::fprintf(stderr, "[sweep] %s: attempt %u %s (%s); retrying\n",
-                     point.name.c_str(), attempt, rec.status.c_str(),
-                     rec.category.c_str());
-      }
-      sleep_seconds(retry_backoff_.delay_seconds(attempt));
-    }
-  }
-  return rec;
-}
-
-PointRecord Orchestrator::run_attempt(const PointSpec& point, std::size_t index) {
-  return cfg_.isolate || !point.argv.empty() ? run_forked(point, index)
-                                             : run_inline(point, index);
 }
 
 std::string Orchestrator::ckpt_dir_for(std::size_t index) const {
@@ -664,61 +587,6 @@ PointRecord Orchestrator::conclude_child(const PointSpec& point, std::size_t ind
   rec.status = "ok";
   rec.category = "ok";
   if (point.body_ckpt) remove_tree(ckpt_dir_for(index));
-  return rec;
-}
-
-PointRecord Orchestrator::run_forked(const PointSpec& point, std::size_t index) {
-  const auto start = util::monotonic_now();
-  const pid_t pid = spawn_child(point, index, /*siblings=*/1);
-  if (pid < 0) {
-    PointRecord rec;
-    rec.name = point.name;
-    rec.index = static_cast<std::uint32_t>(index);
-    rec.status = "failed";
-    rec.category = "internal";
-    rec.exit_code = kExitInternal;
-    rec.error = std::string("fork failed: ") + std::strerror(errno);
-    return rec;
-  }
-
-  // Parent: wall-clock watchdog. Poll so a wedged child — one the in-process
-  // progress watchdog cannot see, e.g. stuck before it even starts ticking —
-  // is killed hard at the deadline.
-  const auto deadline = start + util::seconds_to_duration(cfg_.timeout_seconds);
-  bool timed_out = false;
-  bool stop_forwarded = false;
-  int status = 0;
-  for (;;) {
-    const pid_t r = ::waitpid(pid, &status, WNOHANG);
-    if (r == pid) break;
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      PointRecord rec;
-      rec.name = point.name;
-      rec.index = static_cast<std::uint32_t>(index);
-      rec.status = "failed";
-      rec.category = "internal";
-      rec.error = std::string("waitpid failed: ") + std::strerror(errno);
-      rec.wall_ms = ms_since(start);
-      return rec;
-    }
-    // Graceful stop: forward SIGTERM once so the child checkpoints and
-    // exits "interrupted"; the hard wall-clock deadline still applies as
-    // the backstop if it wedges on the way out.
-    if (!stop_forwarded && cfg_.stop != nullptr && *cfg_.stop != 0) {
-      ::kill(pid, SIGTERM);
-      stop_forwarded = true;
-    }
-    if (cfg_.timeout_seconds > 0.0 && util::monotonic_now() >= deadline) {
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, &status, 0);
-      timed_out = true;
-      break;
-    }
-    ::usleep(2000);
-  }
-  PointRecord rec = conclude_child(point, index, status, timed_out, stop_forwarded);
-  rec.wall_ms = ms_since(start);
   return rec;
 }
 

@@ -1,12 +1,14 @@
-// Fault-tolerant sweep orchestrator with an N-way process pool.
+// Fault-tolerant sweep orchestrator: one N-way process pool runs every sweep.
 //
 // Runs a list of experiment points, each in an isolated forked child, under a
-// wall-clock watchdog. With jobs > 1 up to N children run concurrently,
-// reaped by a non-blocking waitpid loop and dispatched longest-expected-first
-// (per-point cost model: timing history of prior runs, falling back to the
-// caller's static hint). A hung point is SIGKILLed and recorded as a
-// structured "timeout" failure; a crashed point records its signal; a point
-// that exits with one of the exit_codes.hpp codes records that diagnosis.
+// wall-clock watchdog. Up to `jobs` children run concurrently (width 1 is the
+// same pool with one slot), reaped by a non-blocking waitpid loop and
+// dispatched longest-expected-first (per-point cost model: timing history of
+// prior runs, falling back to the caller's static hint). With isolation off,
+// the same loop runs each point in-process, one at a time. A hung point is
+// SIGKILLed and recorded as a structured "timeout" failure; a crashed point
+// records its signal; a point that exits with one of the exit_codes.hpp codes
+// records that diagnosis.
 // Failed points are retried a bounded number of times with backoff, then
 // recorded and *skipped* — the rest of the sweep still completes and the
 // final report marks the gaps. After every completed point the manifest is
@@ -89,19 +91,16 @@ struct OrchestratorConfig {
   /// Optional deterministic fault source armed around the cache's own
   /// filesystem I/O (and nothing else) — chaos testing the degraded modes.
   util::FsFaultHooks* cache_faults = nullptr;
-  bool isolate = true;   ///< fork per point; false = in-process (no timeout or
-                         ///< crash shielding — unit tests and debugging only)
+  bool isolate = true;   ///< fork per point; false = in-process, one point at
+                         ///< a time at pool width 1 (no timeout or crash
+                         ///< shielding — unit tests and debugging only; exec
+                         ///< points still fork)
   bool verbose = true;   ///< per-point progress lines on stderr
 
   /// Process-pool width. 0 = auto: MEMSCHED_JOBS from the environment, else
-  /// hardware_concurrency. 1 = serial. N > 1 keeps up to N forked points in
-  /// flight (requires isolate; in-process execution is always serial).
+  /// hardware_concurrency. N keeps up to N forked points in flight; 1 is the
+  /// same pool with one slot. Ignored (width 1) when isolate is false.
   std::uint32_t jobs = 1;
-
-  /// Test hook: abandon the sweep after this many *executed* (not resumed)
-  /// points — simulates a mid-sweep kill without the signal plumbing.
-  /// Forces serial execution (the count is only meaningful in point order).
-  std::uint32_t stop_after = 0;
 
   /// Cooperative graceful-stop flag (typically ckpt::stop_flag(), set by the
   /// SIGTERM/SIGINT handler). When it fires, every running child is
@@ -125,13 +124,12 @@ struct SweepSummary {
   std::size_t resumed = 0;   ///< replayed from the manifest, not re-run
   std::size_t cache_hits = 0;  ///< served from the result cache, not re-run
   std::size_t executed = 0;  ///< actually run this invocation
-  bool abandoned = false;    ///< stop_after hook tripped
   bool interrupted = false;  ///< graceful stop (SIGTERM/SIGINT) ended the sweep
   std::uint32_t jobs = 1;    ///< resolved pool width this run
   double wall_ms = 0.0;      ///< end-to-end wall clock of run()
 
   [[nodiscard]] bool complete() const {
-    return !abandoned && !interrupted && ok + failed == total;
+    return !interrupted && ok + failed == total;
   }
 };
 
@@ -145,9 +143,9 @@ class Orchestrator {
   ~Orchestrator();  // out of line: ResultCache is forward-declared here
 
   /// Runs (or resumes) the sweep. Points whose manifest record is already
-  /// "ok" are skipped; previously failed points are re-attempted. With
-  /// jobs > 1 (and isolation on) points run in an N-way process pool;
-  /// manifest and report bytes are identical either way.
+  /// "ok" are skipped; previously failed points are re-attempted. Records
+  /// are committed in index order, so manifest and report bytes are the
+  /// same at every pool width.
   SweepSummary run(const std::vector<PointSpec>& points);
 
   [[nodiscard]] const Manifest& manifest() const { return manifest_; }
@@ -157,9 +155,9 @@ class Orchestrator {
 
   /// Deterministic sweep report: recorded payloads are spliced back verbatim
   /// and wall-clock fields are excluded, so an interrupted-and-resumed sweep
-  /// — serial or pooled — dumps byte-identical output to an uninterrupted
-  /// serial one. Failed points are listed with their diagnosis and
-  /// summarized as gaps.
+  /// at any width dumps byte-identical output to an uninterrupted one at
+  /// width 1. Failed points are listed with their diagnosis and summarized
+  /// as gaps.
   [[nodiscard]] util::Json report() const;
 
   /// Machine-readable wall-clock record of the last run(): per-point wall
@@ -176,12 +174,9 @@ class Orchestrator {
     std::string stderr_path;
   };
 
-  SweepSummary run_serial(const std::vector<PointSpec>& points);
   SweepSummary run_pool(const std::vector<PointSpec>& points, std::uint32_t jobs);
 
-  PointRecord execute_point(const PointSpec& point, std::size_t index);
-  PointRecord run_attempt(const PointSpec& point, std::size_t index);
-  PointRecord run_forked(const PointSpec& point, std::size_t index);
+  /// Runs one attempt of `point` in this process (isolate = false).
   PointRecord run_inline(const PointSpec& point, std::size_t index);
 
   /// Forks one child for `point`; the child never returns (it _exits with a

@@ -421,8 +421,10 @@ TEST(Orchestrator, CrashIsRecordedWithSignal) {
 TEST(Orchestrator, InterruptedSweepResumesByteIdentical) {
   const std::string mA = tmp_path("resume_a.json");
   const std::string mB = tmp_path("resume_b.json");
-  std::remove(mA.c_str());
-  std::remove(mB.c_str());
+  for (const std::string& m : {mA, mB}) {
+    std::remove(m.c_str());
+    std::remove((m + ".timing.json").c_str());
+  }
 
   harness::PointSpec flaky;  // deterministic failure: same record every run
   flaky.name = "fails";
@@ -430,22 +432,28 @@ TEST(Orchestrator, InterruptedSweepResumesByteIdentical) {
   const std::vector<harness::PointSpec> points = {ok_point("p0", 0.5), flaky,
                                                   ok_point("p2", 2.5)};
 
-  // Interrupted run: killed (simulated) after two executed points.
+  // Interrupted run: the graceful-stop flag fires after two recorded
+  // points, as a SIGTERM landing between points would.
+  volatile std::sig_atomic_t stop = 0;
+  std::size_t records = 0;
   harness::OrchestratorConfig oc1 = quick_config("resume1");
   oc1.isolate = false;
   oc1.manifest_path = mA;
   oc1.fingerprint = "resume-sweep";
-  oc1.stop_after = 2;
+  oc1.stop = &stop;
+  oc1.on_record = [&stop, &records](const harness::PointRecord&) {
+    if (++records == 2) stop = 1;
+  };
   {
     harness::Orchestrator orch(oc1);
     const harness::SweepSummary s = orch.run(points);
-    EXPECT_TRUE(s.abandoned);
+    EXPECT_TRUE(s.interrupted);
     EXPECT_EQ(s.executed, 2u);
   }
 
   // Resume: completed points replay from the manifest, the rest run.
   harness::OrchestratorConfig oc2 = oc1;
-  oc2.stop_after = 0;
+  oc2.stop = nullptr;
   oc2.work_dir = tmp_path("work_resume2");
   harness::Orchestrator resumed(oc2);
   const harness::SweepSummary s2 = resumed.run(points);
@@ -454,7 +462,7 @@ TEST(Orchestrator, InterruptedSweepResumesByteIdentical) {
 
   // Uninterrupted reference sweep.
   harness::OrchestratorConfig oc3 = oc1;
-  oc3.stop_after = 0;
+  oc3.stop = nullptr;
   oc3.manifest_path = mB;
   oc3.work_dir = tmp_path("work_resume3");
   harness::Orchestrator reference(oc3);
@@ -569,6 +577,7 @@ TEST(Orchestrator, ChildExitSixStopsSweepWithoutRecording) {
   harness::OrchestratorConfig oc = quick_config("interrupt6");
   oc.manifest_path = tmp_path("interrupt6.manifest");
   std::remove(oc.manifest_path.c_str());
+  std::remove((oc.manifest_path + ".timing.json").c_str());
   harness::PointSpec a = ok_point("first", 1.0);
   harness::PointSpec b;
   b.name = "parked";
@@ -624,16 +633,29 @@ TEST(CostModel, CorruptOrMissingHistoryDegradesToHints) {
   EXPECT_EQ(m.size(), 0u);
 }
 
-TEST(CostModel, LongestFirstOrderSortsByCostThenIndex) {
-  const std::vector<std::size_t> pending = {0, 1, 2, 3};
-  const double est[] = {5.0, 9.0, 9.0, 1.0};
-  const auto order =
-      harness::longest_first_order(pending, [&](std::size_t i) { return est[i]; });
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0], 1u);  // ties broken by index for determinism
-  EXPECT_EQ(order[1], 2u);
-  EXPECT_EQ(order[2], 0u);
-  EXPECT_EQ(order[3], 3u);
+TEST(Orchestrator, DispatchesLongestExpectedFirstThenIndex) {
+  harness::OrchestratorConfig oc = quick_config("lpt_order");
+  oc.isolate = false;
+  // Without a manifest the timing history lives in the work dir; a stale
+  // one would order by observed wall time instead of the hints.
+  std::remove((oc.work_dir + "/timing.json").c_str());
+  std::vector<std::size_t> ran;
+  std::vector<harness::PointSpec> points;
+  const double hints[] = {5.0, 9.0, 9.0, 1.0};
+  for (std::size_t i = 0; i < 4; ++i) {
+    harness::PointSpec p;
+    p.name = "p" + std::to_string(i);
+    p.cost_hint = hints[i];
+    p.body = [&ran, i] {
+      ran.push_back(i);
+      return util::Json::object();
+    };
+    points.push_back(std::move(p));
+  }
+  harness::Orchestrator orch(oc);
+  ASSERT_TRUE(orch.run(points).complete());
+  // Ties are broken by index for determinism.
+  EXPECT_EQ(ran, (std::vector<std::size_t>{1, 2, 0, 3}));
 }
 
 TEST(ResolveJobs, ExplicitEnvAndAutoFallback) {

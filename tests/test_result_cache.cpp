@@ -243,7 +243,7 @@ TEST(ResultCache, StaleIntentReclaimedOnNextPut) {
   const std::string dir = tmp_dir("intent");
   cache::ResultCache rc(quick_cfg(dir));
 
-  // Simulate a writer SIGKILLed mid-commit: intent written, tmp abandoned,
+  // Simulate a writer SIGKILLed mid-commit: intent written, tmp orphaned,
   // no entry. The flock died with the writer, so the next put reclaims.
   const std::string entry = rc.entry_path("pt");
   const std::string shard = fs::path(entry).parent_path().string();
@@ -257,7 +257,7 @@ TEST(ResultCache, StaleIntentReclaimedOnNextPut) {
   EXPECT_EQ(rc.stats().stale_reclaimed, 1u);
   EXPECT_EQ(rc.stats().stores, 1u);
   EXPECT_FALSE(fs::exists(rc.intent_path("pt")));
-  EXPECT_FALSE(fs::exists(orphan)) << "abandoned tmp still in the shard";
+  EXPECT_FALSE(fs::exists(orphan)) << "orphaned tmp still in the shard";
   EXPECT_FALSE(cache::scan_cache(dir).quarantined.empty());
 
   std::string payload;

@@ -46,10 +46,10 @@ int usage() {
       "           ckpt defaults to 1, or 0 for engine=sampled (cannot checkpoint).\n"
       "  benches  [bindir=build/bench]\n"
       "  common   [manifest=path] [report=path] [timeout=seconds] [attempts=N]\n"
-      "           [backoff=seconds] [isolate=0|1] [stop_after=N] [strict=0|1]\n"
-      "           [quiet=0|1] [jobs=N | --jobs N] [cache=DIR | --cache DIR]\n"
-      "           jobs=0 (default) = auto: MEMSCHED_JOBS env, else all cores;\n"
-      "           jobs=1 = serial. Reports are byte-identical either way.\n"
+      "           [backoff=seconds] [isolate=0|1] [strict=0|1] [quiet=0|1]\n"
+      "           [jobs=N | --jobs N] [cache=DIR | --cache DIR]\n"
+      "           jobs=0 (default) = auto: MEMSCHED_JOBS env, else all cores.\n"
+      "           Reports are byte-identical at any width.\n"
       "           cache= (or MEMSCHED_CACHE env) = content-addressed result\n"
       "           store: already-computed points splice in without re-running;\n"
       "           output bytes are identical to a cold run. Cache I/O errors\n"
@@ -81,7 +81,6 @@ harness::OrchestratorConfig orchestrator_from(const util::Config& cli,
   oc.max_attempts = static_cast<std::uint32_t>(cli.get_uint("attempts", 1));
   oc.backoff_seconds = cli.get_double("backoff", 0.0);
   oc.isolate = cli.get_bool("isolate", true);
-  oc.stop_after = static_cast<std::uint32_t>(cli.get_uint("stop_after", 0));
   oc.verbose = !cli.get_bool("quiet", false);
   // jobs=0 = auto (MEMSCHED_JOBS env, else hardware_concurrency); the
   // orchestrator resolves it. Parallelism never enters the fingerprint:
@@ -116,11 +115,9 @@ int finish(const util::Config& cli, harness::Orchestrator& orch,
     orch.timing_report().write_file(path + ".timing.json");
     std::printf("report: %s\n", path.c_str());
   }
-  std::printf("sweep: %zu points, %zu ok (%zu resumed), %zu failed%s "
+  std::printf("sweep: %zu points, %zu ok (%zu resumed), %zu failed "
               "[%.2f s wall, jobs=%u]\n",
-              s.total, s.ok, s.resumed, s.failed,
-              s.abandoned ? " [abandoned by stop_after]" : "", s.wall_ms / 1000.0,
-              s.jobs);
+              s.total, s.ok, s.resumed, s.failed, s.wall_ms / 1000.0, s.jobs);
   if (orch.result_cache() != nullptr) {
     // Separate line, never folded into the summary above: smoke scripts
     // pattern-match that line and warm runs must not perturb it.
@@ -146,8 +143,7 @@ int cmd_grid(const util::Config& cli) {
   // CLI sweep of the same definition produce identical result bytes.
   std::vector<std::string_view> known(harness::grid_keys());
   for (const char* k : {"manifest", "report", "timeout", "attempts", "backoff",
-                        "isolate", "stop_after", "strict", "quiet", "jobs",
-                        "cache"}) {
+                        "isolate", "strict", "quiet", "jobs", "cache"}) {
     known.push_back(k);
   }
   if (const auto err = cli.check_known(known, {"fault."})) {
@@ -178,8 +174,7 @@ int cmd_grid(const util::Config& cli) {
 int cmd_benches(const util::Config& cli) {
   if (const auto err = cli.check_known({"bindir", "manifest", "report", "timeout",
                                         "attempts", "backoff", "isolate",
-                                        "stop_after", "strict", "quiet", "jobs",
-                                        "cache"})) {
+                                        "strict", "quiet", "jobs", "cache"})) {
     throw std::invalid_argument(*err);
   }
   const std::string bindir = cli.get_string("bindir", "build/bench");
