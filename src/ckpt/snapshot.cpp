@@ -1,9 +1,12 @@
 #include "ckpt/snapshot.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <string_view>
+#include <utility>
 
 #include "util/atomic_file.hpp"
 
@@ -11,67 +14,122 @@ namespace memsched::ckpt {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
+/// Slicing-by-8 tables: kCrc[0] is the bytewise table, and kCrc[k][b] is the
+/// CRC of byte b followed by k zero bytes, so eight lookups advance the CRC
+/// over eight bytes at once.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1U) ? 0xedb88320U ^ (c >> 1) : c >> 1;
     }
-    t[i] = c;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffU];
+    }
   }
   return t;
 }
 
-constexpr auto kCrcTable = make_crc_table();
+constexpr auto kCrc = make_crc_tables();
 
-void append_bytes(std::vector<std::uint8_t>& out, const void* p, std::size_t n) {
-  const auto* b = static_cast<const std::uint8_t*>(p);
-  out.insert(out.end(), b, b + n);
-}
+/// Fixed-size fields of the layout in snapshot.hpp: the file header is
+/// kHeaderBytes (magic, version, fp_len, nsections) plus the fingerprint; a
+/// section frame is name_len, the name, then payload_len and crc32.
+constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 3 * sizeof(std::uint32_t);
+constexpr std::size_t kNameLenBytes = sizeof(std::uint32_t);
+constexpr std::size_t kLenCrcBytes = sizeof(std::uint64_t) + sizeof(std::uint32_t);
+
+/// A fresh Writer's capacity, and the headroom it reserves for the file
+/// header. Fingerprints run to ~600 bytes; a longer one than the headroom
+/// holds costs save() one move of the section bytes.
+constexpr std::size_t kMinCapacity = std::size_t{64} << 10;
+constexpr std::size_t kHeadroom = 4096;
+
+/// The calling thread's idle Writer buffer (see Writer in snapshot.hpp).
+struct SpareBuffer {
+  std::unique_ptr<std::uint8_t[]> buf;
+  std::size_t cap = 0;
+};
+thread_local SpareBuffer t_spare;
 
 template <typename T>
-void append_scalar(std::vector<std::uint8_t>& out, T v) {
-  append_bytes(out, &v, sizeof(v));
+std::uint8_t* store(std::uint8_t* p, T v) {
+  std::memcpy(p, &v, sizeof v);
+  return p + sizeof v;
 }
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size) {
+  static_assert(std::endian::native == std::endian::little,
+                "crc32 loads eight bytes as one little-endian word");
   const auto* p = static_cast<const std::uint8_t*>(data);
   std::uint32_t c = 0xffffffffU;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = kCrcTable[(c ^ p[i]) & 0xffU] ^ (c >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, sizeof w);
+    w ^= c;
+    c = kCrc[7][w & 0xffU] ^ kCrc[6][(w >> 8) & 0xffU] ^ kCrc[5][(w >> 16) & 0xffU] ^
+        kCrc[4][(w >> 24) & 0xffU] ^ kCrc[3][(w >> 32) & 0xffU] ^
+        kCrc[2][(w >> 40) & 0xffU] ^ kCrc[1][(w >> 48) & 0xffU] ^ kCrc[0][w >> 56];
   }
+  for (; size > 0; ++p, --size) c = kCrc[0][(c ^ *p) & 0xffU] ^ (c >> 8);
   return c ^ 0xffffffffU;
 }
 
 // ---------------------------------------------------------------------------
 // Writer
 
-void Writer::begin_section(const std::string& name) {
-  for (const auto& s : sections_) {
-    if (s.name == name) {
-      throw SnapshotError("snapshot: duplicate section '" + name + "'");
-    }
+Writer::Writer()
+    : buf_(std::move(t_spare.buf)),
+      cap_(std::exchange(t_spare.cap, 0)),
+      head_(kHeadroom),
+      size_(kHeadroom) {
+  if (cap_ < kMinCapacity) {
+    buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(kMinCapacity);
+    cap_ = kMinCapacity;
   }
-  sections_.push_back({name, {}});
 }
 
-void Writer::put_u8(std::uint8_t v) { append_scalar(sections_.back().bytes, v); }
-void Writer::put_u32(std::uint32_t v) { append_scalar(sections_.back().bytes, v); }
-void Writer::put_u64(std::uint64_t v) { append_scalar(sections_.back().bytes, v); }
-
-void Writer::put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
-
-void Writer::put_str(const std::string& s) {
-  put_u64(s.size());
-  append_bytes(sections_.back().bytes, s.data(), s.size());
+Writer::~Writer() {
+  if (cap_ > t_spare.cap) {
+    t_spare.buf = std::move(buf_);
+    t_spare.cap = cap_;
+  }
 }
 
-void Writer::put_u64_vec(const std::vector<std::uint64_t>& v) {
-  put_u64(v.size());
-  for (const std::uint64_t x : v) put_u64(x);
+Writer::Writer(Writer&& other) noexcept
+    : buf_(std::move(other.buf_)),
+      cap_(std::exchange(other.cap_, 0)),
+      head_(std::exchange(other.head_, 0)),
+      size_(std::exchange(other.size_, 0)),
+      sections_(std::move(other.sections_)) {}
+
+void Writer::grow(std::size_t n) {
+  const std::size_t cap = std::max(2 * cap_, size_ + n);
+  auto buf = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+  std::memcpy(buf.get(), buf_.get(), size_);
+  buf_ = std::move(buf);
+  cap_ = cap;
+}
+
+void Writer::begin_section(const std::string& name) {
+  for (const Section& s : sections_) {
+    const std::string_view have(
+        reinterpret_cast<const char*>(buf_.get() + s.frame + kNameLenBytes),
+        s.payload - s.frame - kNameLenBytes - kLenCrcBytes);
+    if (have == name) throw SnapshotError("snapshot: duplicate section '" + name + "'");
+  }
+  const std::size_t frame = size_;
+  put_u32(static_cast<std::uint32_t>(name.size()));
+  append(name.data(), name.size());
+  put_u64(0);  // payload length and CRC: patched in by save()
+  put_u32(0);
+  sections_.push_back({frame, size_});
 }
 
 void Writer::put_rng(const util::Xoshiro256& rng) {
@@ -95,21 +153,36 @@ void Writer::put_hist(const util::Histogram& h) {
   put_u64(h.count());
 }
 
-void Writer::save(const std::string& path, const std::string& fingerprint) const {
-  std::vector<std::uint8_t> out;
-  append_scalar(out, kMagic);
-  append_scalar(out, kVersion);
-  append_scalar(out, static_cast<std::uint32_t>(fingerprint.size()));
-  append_bytes(out, fingerprint.data(), fingerprint.size());
-  append_scalar(out, static_cast<std::uint32_t>(sections_.size()));
-  for (const auto& s : sections_) {
-    append_scalar(out, static_cast<std::uint32_t>(s.name.size()));
-    append_bytes(out, s.name.data(), s.name.size());
-    append_scalar(out, static_cast<std::uint64_t>(s.bytes.size()));
-    append_scalar(out, crc32(s.bytes.data(), s.bytes.size()));
-    append_bytes(out, s.bytes.data(), s.bytes.size());
+void Writer::save(const std::string& path, const std::string& fingerprint) {
+  if ((sections_.empty() ? size_ : sections_.front().frame) != head_) {
+    throw std::logic_error("ckpt::Writer: put_* before the first begin_section");
   }
-  util::atomic_write_file(path, out.data(), out.size());
+  const std::size_t header = kHeaderBytes + fingerprint.size();
+  if (header > head_) {
+    const std::size_t shift = header - head_;
+    if (shift > cap_ - size_) grow(shift);
+    std::memmove(buf_.get() + header, buf_.get() + head_, size_ - head_);
+    for (Section& s : sections_) {
+      s.frame += shift;
+      s.payload += shift;
+    }
+    head_ = header;
+    size_ += shift;
+  }
+  for (std::size_t i = 0; i < sections_.size(); ++i) {
+    const std::size_t payload = sections_[i].payload;
+    const std::size_t end = i + 1 < sections_.size() ? sections_[i + 1].frame : size_;
+    std::uint8_t* p = buf_.get() + payload - kLenCrcBytes;
+    p = store(p, static_cast<std::uint64_t>(end - payload));
+    store(p, crc32(buf_.get() + payload, end - payload));
+  }
+  std::uint8_t* const start = buf_.get() + head_ - header;
+  std::uint8_t* p = store(start, kMagic);
+  p = store(p, kVersion);
+  p = store(p, static_cast<std::uint32_t>(fingerprint.size()));
+  std::memcpy(p, fingerprint.data(), fingerprint.size());
+  store(p + fingerprint.size(), static_cast<std::uint32_t>(sections_.size()));
+  util::atomic_write_file(path, start, size_ - (head_ - header));
 }
 
 // ---------------------------------------------------------------------------
@@ -121,6 +194,8 @@ namespace {
 class Parser {
  public:
   Parser(const std::uint8_t* data, std::size_t size) : p_(data), left_(size) {}
+
+  [[nodiscard]] std::size_t left() const { return left_; }
 
   const std::uint8_t* take(std::size_t n) {
     if (n > left_) throw SnapshotError("snapshot: truncated file");
@@ -194,6 +269,10 @@ void Reader::parse(const std::vector<std::uint8_t>& raw,
       throw SnapshotError("snapshot: duplicate section '" + name + "'");
     }
   }
+  if (ps.left() != 0) {
+    throw SnapshotError("snapshot: " + std::to_string(ps.left()) +
+                        " trailing byte(s) after the last section");
+  }
 }
 
 bool Reader::has_section(const std::string& name) const {
@@ -247,7 +326,8 @@ std::string Reader::get_str() {
 
 std::vector<std::uint64_t> Reader::get_u64_vec() {
   const std::uint64_t len = get_u64();
-  if (cur_ != nullptr && len * sizeof(std::uint64_t) > cur_->size()) {
+  // Divide rather than multiply: len * 8 wraps for len >= 2^61.
+  if (len > (cur_->size() - pos_) / sizeof(std::uint64_t)) {
     throw SnapshotError("snapshot: implausible vector length in '" + cur_name_ + "'");
   }
   std::vector<std::uint64_t> v(static_cast<std::size_t>(len));

@@ -13,13 +13,19 @@
 //   per section:
 //     name_len u32, name bytes, payload_len u64, crc32 u32, payload bytes
 //
+// Nothing follows the last section: the reader rejects trailing bytes, which
+// no CRC would cover.
+//
 // Every section carries its own CRC32 so corruption (truncation, bit flips)
 // is detected before any byte is interpreted; a reader failure is always a
 // SnapshotError, never UB, and callers fall back to a from-scratch run.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -32,7 +38,8 @@ namespace memsched::ckpt {
 inline constexpr std::uint64_t kMagic = 0x3150'4b43'534d'454dULL;  // "MEMSCKP1"
 inline constexpr std::uint32_t kVersion = 2;  // v2: controller interval/epoch state
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), slicing-by-8.
+/// Snapshot sections, result-cache entries and serve wire frames use it.
 std::uint32_t crc32(const void* data, std::size_t size);
 
 /// Any structural problem with a snapshot: bad magic, version or fingerprint
@@ -45,36 +52,77 @@ class SnapshotError : public std::runtime_error {
 /// Serializes named sections of plain scalars and saves them atomically.
 /// Components append to the section the caller opened; the writer owns
 /// framing, CRCs and the atomic tmp+fsync+rename publish.
+///
+/// The file image is built in place in one contiguous buffer: each put_* is
+/// an inline append, begin_section writes a frame whose length and CRC save()
+/// patches in, and save() writes the file header into headroom reserved in
+/// front of the first section, so the buffer is published without a copy.
+///
+/// Buffer reuse: a Writer takes its buffer from a per-thread spare and gives
+/// it back, capacity intact, when destroyed, so a thread's later saves
+/// neither allocate nor fault in fresh pages. One buffer per thread: the
+/// spare goes to one Writer at a time; a second Writer alive on the same
+/// thread allocates its own, and the thread keeps the larger of the two.
+/// Writers therefore never share bytes, and each thread keeps one buffer of
+/// about its largest snapshot (capacity doubles as a buffer grows).
 class Writer {
  public:
+  Writer();
+  ~Writer();
+  Writer(Writer&& other) noexcept;
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
+  Writer& operator=(Writer&&) = delete;
+
   /// Starts a new section; subsequent put_* calls append to it. Section
   /// names must be unique within one snapshot.
   void begin_section(const std::string& name);
 
-  void put_u8(std::uint8_t v);
+  void put_u8(std::uint8_t v) { append(&v, sizeof v); }
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
-  void put_u32(std::uint32_t v);
-  void put_u64(std::uint64_t v);
+  void put_u32(std::uint32_t v) { append(&v, sizeof v); }
+  void put_u64(std::uint64_t v) { append(&v, sizeof v); }
   void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
   /// Doubles round-trip bit-exactly (bit_cast through u64) — required for
   /// the byte-identical-report guarantee.
-  void put_f64(double v);
-  void put_str(const std::string& s);
-  void put_u64_vec(const std::vector<std::uint64_t>& v);
+  void put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
+  void put_str(const std::string& s) {
+    put_u64(s.size());
+    append(s.data(), s.size());
+  }
+  void put_u64_vec(const std::vector<std::uint64_t>& v) {
+    put_u64(v.size());
+    // An empty vector's data() may be null, which memcpy may not be given.
+    if (!v.empty()) append(v.data(), v.size() * sizeof(std::uint64_t));
+  }
 
   void put_rng(const util::Xoshiro256& rng);
   void put_stat(const util::RunningStat& st);
   void put_hist(const util::Histogram& h);
 
   /// Writes the snapshot to `path` via util::atomic_write_file. Throws on
-  /// I/O failure; an existing snapshot at `path` is then left untouched.
-  void save(const std::string& path, const std::string& fingerprint) const;
+  /// I/O failure; an existing snapshot at `path` is then left untouched, and
+  /// save() may be called again.
+  void save(const std::string& path, const std::string& fingerprint);
 
  private:
+  /// Buffer offsets of one section's frame (its name_len field) and payload.
   struct Section {
-    std::string name;
-    std::vector<std::uint8_t> bytes;
+    std::size_t frame;
+    std::size_t payload;
   };
+
+  void append(const void* p, std::size_t n) {
+    if (n > cap_ - size_) grow(n);
+    std::memcpy(buf_.get() + size_, p, n);
+    size_ += n;
+  }
+  void grow(std::size_t n);
+
+  std::unique_ptr<std::uint8_t[]> buf_;
+  std::size_t cap_ = 0;
+  std::size_t head_ = 0;  ///< headroom: offset of the first section's frame
+  std::size_t size_ = 0;
   std::vector<Section> sections_;
 };
 

@@ -21,6 +21,8 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "ckpt/policy.hpp"
@@ -235,6 +237,171 @@ TEST(Snapshot, EveryBitFlipSafe) {
   }
   // Everything except the section-name bytes is CRC- or length-protected.
   EXPECT_GE(detected, bytes.size() - 16);
+}
+
+TEST(Snapshot, HugeVectorLengthIsSnapshotError) {
+  // len * 8 wraps to 8 for len = 2^61 + 1; the guard must not multiply, or
+  // std::vector(len) escapes as std::length_error past run()'s fallback.
+  const std::string path = tmp_path("huge_vec.ckpt");
+  ckpt::Writer w;
+  w.begin_section("s");
+  w.put_u64((std::uint64_t{1} << 61) + 1);
+  w.save(path, "fp");
+  ckpt::Reader r(path, "fp");
+  r.open_section("s");
+  EXPECT_THROW(r.get_u64_vec(), ckpt::SnapshotError);
+}
+
+TEST(Snapshot, TrailingBytesRejected) {
+  const std::string path = tmp_path("trailing.ckpt");
+  sample_writer().save(path, "fp");
+  auto bytes = read_file(path);
+  bytes.insert(bytes.end(), 7, 0x5A);  // no CRC covers these
+  write_file(path, bytes);
+  try {
+    ckpt::Reader r(path, "fp");
+    ADD_FAILURE() << "a snapshot with trailing bytes was accepted";
+  } catch (const ckpt::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("7 trailing byte"), std::string::npos)
+        << e.what();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Write path: slicing-by-8 CRC and the reused per-thread buffer.
+// ---------------------------------------------------------------------------
+
+/// CRC-32 by its definition, one bit at a time: the oracle for ckpt::crc32.
+std::uint32_t crc32_bitwise(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t c = 0xffffffffU;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1U) ? 0xedb88320U ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffU;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<std::uint8_t> v(n);
+  for (auto& b : v) b = static_cast<std::uint8_t>(rng.next());
+  return v;
+}
+
+TEST(Snapshot, Crc32MatchesBitwiseReference) {
+  const auto buf = random_bytes(1'300'000, 11);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(ckpt::crc32(buf.data() + off, len), crc32_bitwise(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+    }
+  }
+  EXPECT_EQ(ckpt::crc32(buf.data(), buf.size()), crc32_bitwise(buf.data(), buf.size()));
+}
+
+/// The snapshot layout of snapshot.hpp, spelled out field by field.
+std::vector<std::uint8_t> reference_image(
+    const std::string& fp,
+    const std::vector<std::pair<std::string, std::vector<std::uint8_t>>>& sections) {
+  std::vector<std::uint8_t> out;
+  auto put = [&out](const void* p, std::size_t n) {
+    const auto* b = static_cast<const std::uint8_t*>(p);
+    out.insert(out.end(), b, b + n);
+  };
+  auto put_u32 = [&put](std::uint32_t v) { put(&v, sizeof v); };
+  const std::uint64_t magic = ckpt::kMagic;
+  put(&magic, sizeof magic);
+  put_u32(ckpt::kVersion);
+  put_u32(static_cast<std::uint32_t>(fp.size()));
+  put(fp.data(), fp.size());
+  put_u32(static_cast<std::uint32_t>(sections.size()));
+  for (const auto& [name, payload] : sections) {
+    put_u32(static_cast<std::uint32_t>(name.size()));
+    put(name.data(), name.size());
+    const std::uint64_t len = payload.size();
+    put(&len, sizeof len);
+    put_u32(crc32_bitwise(payload.data(), payload.size()));
+    put(payload.data(), payload.size());
+  }
+  return out;
+}
+
+void save_small(const std::string& path, const std::string& fp) {
+  ckpt::Writer w;
+  w.begin_section("a");
+  w.put_u32(7);
+  w.put_str("xy");
+  w.begin_section("b");
+  w.put_u64_vec({1, 2});
+  w.save(path, fp);
+}
+
+std::vector<std::uint8_t> small_reference(const std::string& fp) {
+  std::vector<std::uint8_t> a = {7, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 'x', 'y'};
+  std::vector<std::uint8_t> b(24, 0);
+  b[0] = 2;   // length
+  b[8] = 1;   // element 0
+  b[16] = 2;  // element 1
+  return reference_image(fp, {{"a", a}, {"b", b}});
+}
+
+TEST(Snapshot, ReusedBufferWritesFreshWriterBytes) {
+  // The thread's buffer first holds a 2.4 MB snapshot whose fingerprint
+  // overflows the header headroom; a small snapshot written next must not
+  // carry any of those bytes.
+  const std::string fp = "fp-small";
+  const std::string fresh = tmp_path("fresh_small.ckpt");
+  std::thread([&] { save_small(fresh, fp); }).join();  // a new thread: no spare yet
+  {
+    ckpt::Writer big;
+    big.begin_section("a");
+    for (std::uint64_t i = 0; i < 300'000; ++i) big.put_u64(~i);
+    big.save(tmp_path("big.ckpt"), std::string(10'000, 'L'));
+  }
+  const std::string reused = tmp_path("reused_small.ckpt");
+  save_small(reused, fp);
+  EXPECT_EQ(read_file(reused), read_file(fresh));
+  EXPECT_EQ(read_file(reused), small_reference(fp));
+
+  const std::string long_fp(10'000, 'L');
+  save_small(reused, long_fp);
+  EXPECT_EQ(read_file(reused), small_reference(long_fp));
+  ckpt::Reader r(tmp_path("big.ckpt"), long_fp);
+  r.open_section("a");
+  for (std::uint64_t i = 0; i < 300'000; ++i) ASSERT_EQ(r.get_u64(), ~i);
+  r.close_section();
+}
+
+TEST(Snapshot, TwoThreadsSaveConcurrently) {
+  auto worker = [](std::uint64_t id) {
+    const std::string path = tmp_path("thread_" + std::to_string(id) + ".ckpt");
+    const std::string fp = "fp-" + std::to_string(id);
+    try {
+      for (std::uint64_t round = 0; round < 8; ++round) {
+        const std::uint64_t base = (id << 32) | (round << 20);
+        ckpt::Writer w;
+        w.begin_section("data");
+        for (std::uint64_t i = 0; i < 40'000; ++i) w.put_u64(base + i);
+        w.save(path, fp);
+        ckpt::Reader r(path, fp);
+        r.open_section("data");
+        for (std::uint64_t i = 0; i < 40'000; ++i) {
+          if (r.get_u64() != base + i) return false;
+        }
+        r.close_section();
+      }
+    } catch (const std::exception&) {
+      return false;
+    }
+    return true;
+  };
+  bool ok[2] = {false, false};
+  std::thread t0([&] { ok[0] = worker(0); });
+  std::thread t1([&] { ok[1] = worker(1); });
+  t0.join();
+  t1.join();
+  EXPECT_TRUE(ok[0]);
+  EXPECT_TRUE(ok[1]);
 }
 
 // ---------------------------------------------------------------------------

@@ -162,6 +162,20 @@ TEST(ResultCache, TruncationAtEveryPrefixQuarantinesAndMisses) {
   EXPECT_EQ(payload, "{\"v\":42}");
 }
 
+TEST(ResultCache, TrailingBytesQuarantineAndMiss) {
+  // Bytes after the last section are covered by no CRC: the entry parser
+  // refuses them, so the entry is quarantined and the lookup misses.
+  const std::string dir = tmp_dir("trailing");
+  cache::ResultCache rc(quick_cfg(dir));
+  rc.put("pt", "{\"v\":42}");
+  const std::string entry = rc.entry_path("pt");
+  spew(entry, slurp(entry) + "garbage");
+  std::string payload;
+  EXPECT_FALSE(rc.get("pt", &payload));
+  EXPECT_EQ(rc.stats().quarantined, 1u);
+  EXPECT_FALSE(fs::exists(entry));
+}
+
 TEST(ResultCache, SingleBitFlipsNeverServeWrongBytes) {
   const std::string dir = tmp_dir("bitflip");
   cache::ResultCache rc(quick_cfg(dir));
