@@ -12,7 +12,7 @@
 #      writers left behind (intents, tmp files), and the next sweep
 #      self-heals to the byte-identical report.
 #   3. A sweep with filesystem faults injected into the cache I/O path
-#      (short writes, ENOSPC, EIO, read bit-flips via MEMSCHED_CACHE_FSFAULT)
+#      (short writes, ENOSPC, EIO, read bit-flips via MEMSCHED_FSFAULT)
 #      must degrade to miss-and-resimulate — exit 0, byte-identical report —
 #      and never serve corrupt bytes.
 #
@@ -91,12 +91,12 @@ echo "  6 kills, zero torn entries; fsck cleaned the store; report identical"
 
 echo "== cache 3: injected fs faults degrade to resimulation, never failure =="
 CHAOS="seed=20260808,short_write=0.4,enospc=0.25,eio=0.2,bitflip=0.25"
-MEMSCHED_CACHE_FSFAULT="$CHAOS" "$SWEEP" grid $ARGS cache="$WORK/store3" \
+MEMSCHED_FSFAULT="$CHAOS" "$SWEEP" grid $ARGS cache="$WORK/store3" \
     manifest="$WORK/chaos_cold.m" report="$WORK/chaos_cold.r" > /dev/null 2>&1 ||
     { echo "cache_smoke: faulted cold sweep failed" >&2; exit 1; }
 cmp "$WORK/ref.r" "$WORK/chaos_cold.r" ||
     { echo "cache_smoke: faulted cold report differs" >&2; exit 1; }
-MEMSCHED_CACHE_FSFAULT="$CHAOS" "$SWEEP" grid $ARGS cache="$WORK/store3" \
+MEMSCHED_FSFAULT="$CHAOS" "$SWEEP" grid $ARGS cache="$WORK/store3" \
     manifest="$WORK/chaos_warm.m" report="$WORK/chaos_warm.r" > /dev/null 2>&1 ||
     { echo "cache_smoke: faulted warm sweep failed" >&2; exit 1; }
 cmp "$WORK/ref.r" "$WORK/chaos_warm.r" ||

@@ -7,7 +7,7 @@
 #   2. A sweep SIGKILLed mid-flight must resume from its manifest and produce
 #      a final report byte-identical to an uninterrupted run.
 #   3. A sweep whose result cache is under filesystem fault injection
-#      (MEMSCHED_CACHE_FSFAULT) must degrade cache I/O to miss-and-resimulate
+#      (MEMSCHED_FSFAULT) must degrade cache I/O to miss-and-resimulate
 #      and still produce the byte-identical report with exit 0. Deeper cache
 #      coverage (kill matrices, fsck repair) lives in scripts/cache_smoke.sh.
 #
@@ -66,13 +66,13 @@ echo "  resumed report is byte-identical to the uninterrupted run"
 
 echo "== chaos 3: result cache under fs faults degrades, never fails =="
 CHAOS="seed=42,short_write=0.4,enospc=0.25,eio=0.2,bitflip=0.25"
-MEMSCHED_CACHE_FSFAULT="$CHAOS" "$SWEEP" grid $ARGS2 \
+MEMSCHED_FSFAULT="$CHAOS" "$SWEEP" grid $ARGS2 \
     cache="$WORK/store" manifest="$WORK/cc.manifest.json" \
     report="$WORK/cc.report.json" > /dev/null 2>&1 ||
     { echo "chaos_smoke: faulted cached sweep failed" >&2; exit 1; }
 cmp "$WORK/ref.report.json" "$WORK/cc.report.json" ||
     { echo "chaos_smoke: faulted cached report differs" >&2; exit 1; }
-MEMSCHED_CACHE_FSFAULT="$CHAOS" "$SWEEP" grid $ARGS2 \
+MEMSCHED_FSFAULT="$CHAOS" "$SWEEP" grid $ARGS2 \
     cache="$WORK/store" manifest="$WORK/cw.manifest.json" \
     report="$WORK/cw.report.json" > /dev/null 2>&1 ||
     { echo "chaos_smoke: faulted warm cached sweep failed" >&2; exit 1; }

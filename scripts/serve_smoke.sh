@@ -14,7 +14,7 @@
 #      torn queue bytes, and the restarted daemon — at a different
 #      orchestrator pool width — resumes to the byte-identical report.
 #   4. A daemon with filesystem faults injected into the queue I/O path
-#      (MEMSCHED_QUEUE_FSFAULT: short writes, ENOSPC, EIO, bit flips) must
+#      (MEMSCHED_FSFAULT: short writes, ENOSPC, EIO, bit flips) must
 #      keep serving — degraded at worst, never wrong, never down — and still
 #      deliver the byte-identical report.
 #
@@ -120,7 +120,7 @@ echo "  graceful exit 6; clean queue; warm jobs=3 report byte-identical"
 
 echo "== serve 4: injected queue fs faults degrade, never lose or corrupt =="
 CHAOS="seed=20260808,short_write=0.3,enospc=0.2,eio=0.15,bitflip=0.2"
-MEMSCHED_QUEUE_FSFAULT="$CHAOS" "$SERVED" start socket="$WORK/d.sock" \
+MEMSCHED_FSFAULT="$CHAOS" "$SERVED" start socket="$WORK/d.sock" \
     state="$WORK/s4" quiet=1 &
 DAEMON_PID=$!
 "$CTL" ping socket="$WORK/d.sock" retries=50 > /dev/null ||

@@ -29,7 +29,7 @@ void sleep_seconds(double seconds) {
 }
 
 /// Entry payload codec. Writer and reader sides must mirror each other
-/// field for field — memsched-lint (cache-entry-framing) checks that this
+/// field for field — memsched-lint (ckpt-symmetry) checks that this
 /// encode/decode pair stays symmetric.
 void encode_result_entry(ckpt::Writer& w, const std::string& point_name,
                          const std::string& payload) {
@@ -44,63 +44,6 @@ void decode_result_entry(ckpt::Reader& r, std::string& point_name,
   point_name = r.get_str();
   payload = r.get_str();
   r.close_section();
-}
-
-/// Reads a whole file through the fault seam: injected open/read errors set
-/// errno and fail, injected bit flips land in `out` (and are then caught by
-/// the entry's CRCs). ENOENT is the one "error" that is really a miss.
-bool read_raw(const std::string& path, std::vector<std::uint8_t>& out,
-              int& err_errno) {
-  err_errno = 0;
-  util::FsFaultHooks* hooks = util::fs_fault_hooks();
-  if (hooks != nullptr && (err_errno = hooks->fail_op("open")) != 0) return false;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    err_errno = errno;
-    return false;
-  }
-  out.clear();
-  std::uint8_t buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.insert(out.end(), buf, buf + n);
-  const bool bad = std::ferror(f) != 0;
-  std::fclose(f);
-  if (bad || (hooks != nullptr && (err_errno = hooks->fail_op("read")) != 0)) {
-    if (err_errno == 0) err_errno = EIO;
-    return false;
-  }
-  if (hooks != nullptr && !out.empty()) hooks->corrupt_read(out.data(), out.size());
-  return true;
-}
-
-/// Peeks the embedded key string (the ckpt-frame fingerprint field) out of a
-/// raw entry image without validating sections — check_entry_file needs the
-/// key before it can run the full Reader validation against it.
-bool peek_key(const std::vector<std::uint8_t>& raw, std::string& key,
-              std::string& error) {
-  std::size_t pos = 0;
-  const auto take = [&](void* dst, std::size_t n) {
-    if (pos + n > raw.size()) return false;
-    std::memcpy(dst, raw.data() + pos, n);
-    pos += n;
-    return true;
-  };
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0, fp_len = 0;
-  if (!take(&magic, sizeof magic) || magic != ckpt::kMagic) {
-    error = "bad magic (not a cache entry)";
-    return false;
-  }
-  if (!take(&version, sizeof version) || version != ckpt::kVersion) {
-    error = "unsupported frame version";
-    return false;
-  }
-  if (!take(&fp_len, sizeof fp_len) || pos + fp_len > raw.size()) {
-    error = "truncated key field";
-    return false;
-  }
-  key.assign(reinterpret_cast<const char*>(raw.data() + pos), fp_len);
-  return true;
 }
 
 /// Unique name for a file parked in quarantine/ (several sweeps may park
@@ -267,8 +210,8 @@ bool ResultCache::try_get(const std::string& point_name, std::string* payload) {
 
   std::vector<std::uint8_t> raw;
   for (std::uint32_t attempt = 1;; ++attempt) {
-    int err = 0;
-    if (read_raw(path, raw, err)) break;
+    const int err = util::read_file(path, raw);
+    if (err == 0) break;
     if (err == ENOENT) return false;  // plain miss: not an error
     ++stats_.read_errors;
     if (attempt > cfg_.max_retries) {
@@ -277,6 +220,10 @@ bool ResultCache::try_get(const std::string& point_name, std::string* payload) {
       return false;
     }
     sleep_seconds(cfg_.backoff.delay_seconds(attempt));
+  }
+  // Injected bit flips land in the image and are caught by the entry's CRCs.
+  if (util::FsFaultHooks* hooks = util::fs_fault_hooks(); hooks && !raw.empty()) {
+    hooks->corrupt_read(raw.data(), raw.size());
   }
 
   try {
@@ -391,26 +338,25 @@ EntryCheck check_entry_file(const std::string& path) {
   c.path = path;
 
   std::vector<std::uint8_t> raw;
-  int err = 0;
-  if (!read_raw(path, raw, err)) {
+  if (const int err = util::read_file(path, raw); err != 0) {
     c.error = std::string("unreadable: ") + std::strerror(err);
     return c;
   }
   c.bytes = raw.size();
 
-  std::string key;
-  if (!peek_key(raw, key, c.error)) return c;
-  if (key.compare(0, std::strlen(kResultCacheSchema), kResultCacheSchema) != 0) {
-    c.error = "entry written by a different cache schema";
-    return c;
-  }
-  const std::string stem = fs::path(path).stem().string();
-  if (stem != hex64(fnv1a64(key))) {
-    c.error = "filename does not match embedded key (misfiled entry)";
-    return c;
-  }
   try {
-    ckpt::Reader r(raw, key);
+    // Any key parses; the key is then checked against the schema and the
+    // filename it must hash to.
+    ckpt::Reader r(raw);
+    const std::string& key = r.fingerprint();
+    if (key.compare(0, std::strlen(kResultCacheSchema), kResultCacheSchema) != 0) {
+      c.error = "entry written by a different cache schema";
+      return c;
+    }
+    if (fs::path(path).stem().string() != hex64(fnv1a64(key))) {
+      c.error = "filename does not match embedded key (misfiled entry)";
+      return c;
+    }
     std::string payload;
     decode_result_entry(r, c.point_name, payload);
   } catch (const ckpt::SnapshotError& e) {

@@ -19,6 +19,11 @@
 // Every section carries its own CRC32 so corruption (truncation, bit flips)
 // is detected before any byte is interpreted; a reader failure is always a
 // SnapshotError, never UB, and callers fall back to a from-scratch run.
+//
+// Writer and Reader are also the one field codec for the other persisted
+// and framed formats: result-cache entries are snapshots, and the sweep
+// daemon's WAL records and socket frames are bare records (Writer::record,
+// Reader::record) framed by src/serve/wire.
 #pragma once
 
 #include <bit>
@@ -26,6 +31,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -42,8 +48,8 @@ inline constexpr std::uint32_t kVersion = 2;  // v2: controller interval/epoch s
 /// Snapshot sections, result-cache entries and serve wire frames use it.
 std::uint32_t crc32(const void* data, std::size_t size);
 
-/// Any structural problem with a snapshot: bad magic, version or fingerprint
-/// mismatch, CRC failure, truncation, or a section read past its end.
+/// Any structural problem with a snapshot or record: bad magic, version or
+/// fingerprint mismatch, CRC failure, truncation, or a read past the end.
 class SnapshotError : public std::runtime_error {
  public:
   explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
@@ -90,6 +96,12 @@ class Writer {
     put_u64(s.size());
     append(s.data(), s.size());
   }
+  /// A string with a u32 length: section names, the fingerprint, and the
+  /// strings of WAL and socket records.
+  void put_str32(const std::string& s) {
+    put_u32(static_cast<std::uint32_t>(s.size()));
+    append(s.data(), s.size());
+  }
   void put_u64_vec(const std::vector<std::uint64_t>& v) {
     put_u64(v.size());
     // An empty vector's data() may be null, which memcpy may not be given.
@@ -104,6 +116,10 @@ class Writer {
   /// I/O failure; an existing snapshot at `path` is then left untouched, and
   /// save() may be called again.
   void save(const std::string& path, const std::string& fingerprint);
+
+  /// The bytes put so far, for a bare record its caller frames (a WAL
+  /// record, a frame header): no file header and no sections.
+  [[nodiscard]] std::vector<std::uint8_t> record() const;
 
  private:
   /// Buffer offsets of one section's frame (its name_len field) and payload.
@@ -129,17 +145,34 @@ class Writer {
 /// Parses and validates a snapshot, then hands out typed reads per section.
 /// Construction validates magic, version, fingerprint and every section CRC
 /// up front; afterwards reads can only fail on logical over-reads (which are
-/// still SnapshotError, never UB).
+/// still SnapshotError, never UB). Every read, the header's included, goes
+/// through one bounds check.
 class Reader {
  public:
-  /// Loads `path`, throwing SnapshotError unless the file is a complete,
-  /// CRC-clean snapshot whose fingerprint equals `expected_fingerprint`.
+  /// Loads `path` through util::read_file, throwing SnapshotError (naming the
+  /// errno when the read fails) unless the file is a complete, CRC-clean
+  /// snapshot whose fingerprint equals `expected_fingerprint`.
   Reader(const std::string& path, const std::string& expected_fingerprint);
 
-  /// Parses an in-memory image with the same validation. Used by callers
-  /// that read the bytes themselves (the result cache routes reads through
-  /// the fs fault hooks before handing the image over for parsing).
-  Reader(const std::vector<std::uint8_t>& raw, const std::string& expected_fingerprint);
+  /// Parses an in-memory image with the same validation, reading it in place:
+  /// `image` must outlive the Reader. With no `expected_fingerprint` any
+  /// fingerprint is accepted, and fingerprint() says which one the image
+  /// carries (the result cache checks an entry's key that way).
+  explicit Reader(const std::vector<std::uint8_t>& image,
+                  const std::optional<std::string>& expected_fingerprint = std::nullopt);
+  Reader(std::vector<std::uint8_t>&& image,
+         const std::optional<std::string>& expected_fingerprint = std::nullopt) = delete;
+
+  /// A bare record of `size` bytes at `data` (which must outlive the Reader),
+  /// open as one section: no header, no CRC; close_section() checks that it
+  /// was consumed exactly.
+  [[nodiscard]] static Reader record(const std::uint8_t* data, std::size_t size);
+
+  /// The cursor may point into the Reader itself: no copies, no moves.
+  Reader(const Reader&) = delete;
+  Reader& operator=(const Reader&) = delete;
+
+  [[nodiscard]] const std::string& fingerprint() const { return fingerprint_; }
 
   [[nodiscard]] bool has_section(const std::string& name) const;
 
@@ -153,6 +186,7 @@ class Reader {
   std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
   double get_f64();
   std::string get_str();
+  std::string get_str32();
   std::vector<std::uint64_t> get_u64_vec();
 
   void get_rng(util::Xoshiro256& rng);
@@ -165,12 +199,22 @@ class Reader {
   void close_section();
 
  private:
-  void parse(const std::vector<std::uint8_t>& raw, const std::string& expected_fingerprint);
+  struct Span {
+    const std::uint8_t* data = nullptr;
+    std::size_t size = 0;
+  };
+
+  explicit Reader(Span record);
+  void parse(const std::optional<std::string>& expected_fingerprint);
+  void open(const Span* span, std::string what);
   const std::uint8_t* need(std::size_t n);
 
-  std::map<std::string, std::vector<std::uint8_t>> sections_;
-  const std::vector<std::uint8_t>* cur_ = nullptr;
-  std::string cur_name_;
+  std::vector<std::uint8_t> owned_;  ///< the file image, when read from a path
+  Span image_;                       ///< the whole file image, or the record
+  std::string fingerprint_;
+  std::map<std::string, Span> sections_;
+  const Span* cur_ = nullptr;  ///< what the cursor reads: a section, the image
+  std::string what_;           ///< cur_ for messages: "section 'x'", "file"
   std::size_t pos_ = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "harness/cost_model.hpp"
 
-#include <cstdio>
-
 #include "util/atomic_file.hpp"
 #include "util/json.hpp"
 
@@ -11,23 +9,13 @@ namespace {
 
 constexpr const char* kFormat = "memsched-sweep-timing-v1";
 
-std::string read_file_or_empty(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  std::string out;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
-}
-
 }  // namespace
 
 void CostModel::load(const std::string& path) {
   wall_ms_.clear();
-  const std::string text = read_file_or_empty(path);
-  if (text.empty()) return;
+  std::string text;
+  // A missing or unreadable history is an empty one: it only orders dispatch.
+  if (util::read_file(path, text) != 0 || text.empty()) return;
   try {
     const util::Json doc = util::Json::parse(text);
     const util::Json* fmt = doc.find("format");

@@ -1,7 +1,8 @@
 #include "harness/manifest.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <cerrno>
+#include <cstring>
 #include <stdexcept>
 
 #include "util/atomic_file.hpp"
@@ -16,23 +17,6 @@ namespace {
 // moved to the .timing.json sidecar. A v1 manifest fails the format check
 // below; delete it and start the sweep over.
 constexpr const char* kFormat = "memsched-sweep-manifest-v2";
-
-std::string read_file(const std::string& path, bool& exists) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    exists = false;
-    return {};
-  }
-  exists = true;
-  std::string out;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  const bool bad = std::ferror(f) != 0;
-  std::fclose(f);
-  if (bad) throw std::runtime_error("manifest: read error on " + path);
-  return out;
-}
 
 PointRecord record_from(const util::Json& j) {
   PointRecord r;
@@ -55,9 +39,12 @@ void Manifest::open(const std::string& path, const std::string& fingerprint) {
   fingerprint_ = fingerprint;
   records_.clear();
 
-  bool exists = false;
-  const std::string text = read_file(path, exists);
-  if (!exists) return;  // fresh sweep
+  std::string text;
+  if (const int err = util::read_file(path, text); err == ENOENT) {
+    return;  // fresh sweep
+  } else if (err != 0) {
+    throw std::runtime_error("manifest: read error on " + path + ": " + std::strerror(err));
+  }
 
   util::Json doc;
   try {

@@ -18,6 +18,7 @@
 #include "cache/result_cache.hpp"
 #include "harness/guarded_main.hpp"
 #include "sim/runner.hpp"
+#include "util/atomic_file.hpp"
 #include "util/progress.hpp"
 #include "util/wallclock.hpp"
 
@@ -40,17 +41,6 @@ void redirect_to_file(const std::string& path, int target) {
   if (fd < 0) return;  // diagnostics-only stream; keep running without it
   ::dup2(fd, target);
   ::close(fd);
-}
-
-std::string read_whole_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  std::string out;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
 }
 
 std::string format_seconds(double seconds) {
@@ -566,7 +556,7 @@ PointRecord Orchestrator::conclude_child(const PointSpec& point, std::size_t ind
   }
 
   if (point.argv.empty()) {
-    rec.payload = read_whole_file(files.result);
+    const int err = util::read_file(files.result, rec.payload);
     // write_file appends a newline; strip it so the payload splices cleanly
     // into the report.
     while (!rec.payload.empty() && rec.payload.back() == '\n') rec.payload.pop_back();
@@ -574,7 +564,9 @@ PointRecord Orchestrator::conclude_child(const PointSpec& point, std::size_t ind
       rec.status = "failed";
       rec.category = "internal";
       rec.exit_code = kExitInternal;
-      rec.error = "child exited 0 but wrote no result file";
+      rec.error = err == 0 || err == ENOENT
+                      ? "child exited 0 but wrote no result file"
+                      : "cannot read result file " + files.result + ": " + std::strerror(err);
       return rec;
     }
   } else {
@@ -591,8 +583,8 @@ PointRecord Orchestrator::conclude_child(const PointSpec& point, std::size_t ind
 }
 
 std::string Orchestrator::child_error(const std::string& stderr_path) const {
-  const std::string text = read_whole_file(stderr_path);
-  if (text.empty()) return {};
+  std::string text;
+  if (util::read_file(stderr_path, text) != 0 || text.empty()) return {};
   // Prefer the structured error record emitted by guarded_main / the forked
   // point body; fall back to a bounded tail of raw stderr.
   static constexpr std::string_view kMarker = "MEMSCHED_ERROR ";

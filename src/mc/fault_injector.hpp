@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "util/fs_fault.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -89,62 +88,6 @@ class FaultInjector {
   util::Xoshiro256 rng_;
   FaultStats stats_;
   std::vector<Tick> stall_until_;  ///< per channel, grown on demand
-};
-
-// ---------------------------------------------------------------------------
-// Filesystem fault injection (chaos-testing the persistence layer: result
-// cache, atomic_file). Same discipline as the request-path knobs: decisions
-// are a pure function of (seed, call sequence), so a chaos run reproduces
-// exactly, and a disabled injector draws nothing.
-
-struct FsFaultConfig {
-  bool enabled = false;
-  std::uint64_t seed = 1;
-  double short_write_prob = 0.0;  ///< clamp one write(2) to a small chunk
-  double enospc_prob = 0.0;       ///< fail write/fsync with ENOSPC
-  double eio_prob = 0.0;          ///< fail open/close/rename with EIO
-  double bitflip_prob = 0.0;      ///< flip one bit in a read-back image
-
-  /// Error message for out-of-range knobs, empty when valid.
-  [[nodiscard]] std::string validate() const;
-
-  /// Parses a "k=v,k=v" spec (keys: seed, short_write, enospc, eio,
-  /// bitflip); nullptr/empty yields a disabled config. Used to arm chaos
-  /// from the MEMSCHED_CACHE_FSFAULT environment variable in smoke runs.
-  /// Throws std::invalid_argument on an unknown key or malformed value.
-  [[nodiscard]] static FsFaultConfig parse(const char* spec);
-};
-
-struct FsFaultStats {
-  std::uint64_t short_writes = 0;
-  std::uint64_t enospc = 0;
-  std::uint64_t eio = 0;
-  std::uint64_t bitflips = 0;
-
-  [[nodiscard]] std::uint64_t total() const {
-    return short_writes + enospc + eio + bitflips;
-  }
-};
-
-/// Deterministic filesystem fault source, pluggable into the util-level
-/// seam (util::ScopedFsFaults) so faults stay confined to the code path
-/// under test — arming it around the result cache's I/O must not poison the
-/// sweep manifest writer.
-class FsFaultInjector : public util::FsFaultHooks {
- public:
-  explicit FsFaultInjector(const FsFaultConfig& cfg);
-
-  [[nodiscard]] std::size_t clamp_write(std::size_t requested) override;
-  [[nodiscard]] int fail_op(const char* op) override;
-  void corrupt_read(void* data, std::size_t n) override;
-
-  [[nodiscard]] const FsFaultConfig& config() const { return cfg_; }
-  [[nodiscard]] const FsFaultStats& stats() const { return stats_; }
-
- private:
-  FsFaultConfig cfg_;
-  util::Xoshiro256 rng_;
-  FsFaultStats stats_;
 };
 
 }  // namespace memsched::mc

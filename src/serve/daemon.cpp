@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "ckpt/signal.hpp"
 #include "harness/exit_codes.hpp"
@@ -76,13 +75,6 @@ void set_socket_timeouts(int fd, int seconds) {
   tv.tv_sec = seconds;
   (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
   (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-}
-
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out->assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  return true;
 }
 
 }  // namespace
@@ -581,8 +573,8 @@ util::Json Daemon::handle_request(const util::Json& req, std::string* extra_fram
     if (rec->state != JobState::kDone) {
       return error_reply(std::string("job is ") + job_state_name(rec->state));
     }
-    if (!read_file(report_path(rec->id), extra_frame)) {
-      return error_reply("report file missing");
+    if (const int err = util::read_file(report_path(rec->id), *extra_frame); err != 0) {
+      return error_reply(std::string("cannot read report: ") + std::strerror(err));
     }
     util::Json resp = util::Json::object();
     resp["ok"] = true;

@@ -74,7 +74,7 @@ struct ServeConfig {
   int stop_fd = -1;
 
   /// Deterministic fault source armed around the job queue's file I/O only
-  /// (MEMSCHED_QUEUE_FSFAULT).
+  /// (MEMSCHED_FSFAULT in memsched_served).
   util::FsFaultHooks* queue_faults = nullptr;
 };
 

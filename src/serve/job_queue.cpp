@@ -7,8 +7,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
+#include "ckpt/snapshot.hpp"
 #include "serve/wire.hpp"
 #include "util/atomic_file.hpp"
 
@@ -17,18 +17,6 @@ namespace fs = std::filesystem;
 namespace memsched::serve {
 
 namespace {
-
-/// Consults the thread-local fault seam exactly like util::atomic_file does:
-/// returns the injected errno for `op`, or 0.
-int injected_failure(const char* op) {
-  util::FsFaultHooks* hooks = util::fs_fault_hooks();
-  return hooks ? hooks->fail_op(op) : 0;
-}
-
-std::size_t clamp_write_len(std::size_t requested) {
-  util::FsFaultHooks* hooks = util::fs_fault_hooks();
-  return hooks ? hooks->clamp_write(requested) : requested;
-}
 
 /// Compact once the dead-record overhead exceeds this many bytes. Low enough
 /// that the log stays small, high enough that steady-state mutations are one
@@ -49,30 +37,30 @@ const char* job_state_name(JobState s) {
 }
 
 std::vector<std::uint8_t> encode_queue_record(const QueueRecord& rec) {
-  WireWriter w;
+  ckpt::Writer w;
   w.put_u64(rec.id);
-  w.put_str(rec.key);
+  w.put_str32(rec.key);
   w.put_u8(static_cast<std::uint8_t>(rec.state));
   w.put_u32(rec.attempts);
-  w.put_str(rec.spec);
-  w.put_str(rec.error);
-  return w.take();
+  w.put_str32(rec.spec);
+  w.put_str32(rec.error);
+  return w.record();
 }
 
 QueueRecord decode_queue_record(const std::uint8_t* data, std::size_t size) {
-  WireReader r(data, size);
+  ckpt::Reader r = ckpt::Reader::record(data, size);
   QueueRecord rec;
   rec.id = r.get_u64();
-  rec.key = r.get_str();
+  rec.key = r.get_str32();
   const std::uint8_t state = r.get_u8();
   if (state > static_cast<std::uint8_t>(JobState::kCancelled)) {
-    throw WireError("queue record: unknown job state");
+    throw ckpt::SnapshotError("queue record: unknown job state");
   }
   rec.state = static_cast<JobState>(state);
   rec.attempts = r.get_u32();
-  rec.spec = r.get_str();
-  rec.error = r.get_str();
-  if (r.remaining() != 0) throw WireError("queue record: trailing bytes");
+  rec.spec = r.get_str32();
+  rec.error = r.get_str32();
+  r.close_section();  // trailing bytes are corruption, not slack
   return rec;
 }
 
@@ -103,18 +91,20 @@ bool JobQueue::open() {
   truncated_bytes_ = 0;
   replayed_ = 0;
 
-  std::string raw;
+  std::vector<std::uint8_t> raw;
   {
     util::ScopedFsFaults armed(faults_);
-    std::ifstream in(wal_path(), std::ios::binary);
-    if (in) {
-      raw.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-      util::FsFaultHooks* hooks = util::fs_fault_hooks();
-      if (hooks && !raw.empty()) hooks->corrupt_read(raw.data(), raw.size());
+    // A WAL that exists but cannot be read is refused untouched: recovery
+    // below may rewrite the file, and must only ever rewrite what it read.
+    if (const int err = util::read_file(wal_path(), raw); err != 0 && err != ENOENT) {
+      error_ = "queue: cannot read " + wal_path() + ": " + std::strerror(err);
+      return false;
     }
+    util::FsFaultHooks* hooks = util::fs_fault_hooks();
+    if (hooks && !raw.empty()) hooks->corrupt_read(raw.data(), raw.size());
   }
 
-  const auto* data = reinterpret_cast<const std::uint8_t*>(raw.data());
+  const std::uint8_t* data = raw.data();
   std::size_t off = 0;
   std::string tail_diagnosis;
   while (off < raw.size()) {
@@ -130,7 +120,7 @@ bool JobQueue::open() {
       if (rec.id >= next_id_) next_id_ = rec.id + 1;
       jobs_[rec.id] = std::move(rec);
       ++replayed_;
-    } catch (const WireError& e) {
+    } catch (const ckpt::SnapshotError& e) {
       tail_diagnosis = e.what();
       break;
     }
@@ -164,7 +154,7 @@ bool JobQueue::open() {
 bool JobQueue::ensure_open_fd() {
   if (fd_ >= 0) return true;
   util::ScopedFsFaults armed(faults_);
-  if (int err = injected_failure("open"); err != 0) {
+  if (const int err = util::injected_errno("open"); err != 0) {
     errno = err;
   } else {
     fd_ = ::open(wal_path().c_str(), O_CREAT | O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
@@ -189,29 +179,8 @@ void JobQueue::enter_degraded(const std::string& why) {
 
 bool JobQueue::write_frame_locked(const std::vector<std::uint8_t>& frame) {
   util::ScopedFsFaults armed(faults_);
-  std::size_t done = 0;
-  while (done < frame.size()) {
-    if (int err = injected_failure("write"); err != 0) {
-      errno = err;
-      break;
-    }
-    const std::size_t want = clamp_write_len(frame.size() - done);
-    const ssize_t n = ::write(fd_, frame.data() + done, want);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  bool synced = false;
-  if (done == frame.size()) {
-    if (int err = injected_failure("fsync"); err != 0) {
-      errno = err;
-    } else {
-      synced = ::fsync(fd_) == 0;
-    }
-  }
-  if (done == frame.size() && synced) {
+  if (util::write_all(fd_, frame.data(), frame.size()) &&
+      (errno = util::injected_errno("fsync")) == 0 && ::fsync(fd_) == 0) {
     durable_size_ += frame.size();
     return true;
   }

@@ -1,7 +1,7 @@
 // Durable write-ahead job queue for the sweep daemon.
 //
 // One append-only file (`queue.wal`) holds the full job history as framed,
-// CRC-checked records (serve/wire.hpp). Every state change appends a fresh
+// CRC-checked records (serve/wire.hpp, fields in ckpt's codec). Every state change appends a fresh
 // complete record for the job — last record per id wins on replay — so a
 // mutation is a single frame append + fsync, and a SIGKILL at ANY byte
 // offset leaves a prefix of whole frames plus at most one torn tail frame
@@ -16,9 +16,10 @@
 // advancing in memory, one grep-able MEMSCHED_SERVE_DEGRADED line explains
 // why on stderr, and every later mutation first attempts a full compaction
 // (atomic rewrite via util::atomic_write_file), which heals the queue the
-// moment the filesystem recovers. All file I/O consults the thread-local
-// util::fs_fault_hooks() seam, so every one of those paths is unit-testable
-// with MEMSCHED_QUEUE_FSFAULT-style deterministic fault injection.
+// moment the filesystem recovers. All file I/O goes through util::read_file,
+// util::write_all and util::atomic_write_file and so consults the
+// thread-local util::fs_fault_hooks() seam: every one of those paths is
+// unit-testable with MEMSCHED_FSFAULT-style deterministic fault injection.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +59,8 @@ struct QueueRecord {
 /// lint-checkable.
 [[nodiscard]] std::vector<std::uint8_t> encode_queue_record(const QueueRecord& rec);
 
-/// Parses one record payload. Throws WireError on structural corruption.
+/// Parses one record payload. Throws ckpt::SnapshotError on structural
+/// corruption, trailing bytes included.
 [[nodiscard]] QueueRecord decode_queue_record(const std::uint8_t* data,
                                               std::size_t size);
 
@@ -76,8 +78,9 @@ class JobQueue {
   JobQueue& operator=(const JobQueue&) = delete;
 
   /// Creates the directory if needed, replays the WAL, truncates any torn or
-  /// corrupt tail, and opens the append handle. False only when the queue
-  /// cannot even operate in memory (directory uncreatable); error() says why.
+  /// corrupt tail, and opens the append handle. False when the queue cannot
+  /// even operate in memory (directory uncreatable) or the WAL exists but
+  /// cannot be read (its bytes are then left untouched); error() says why.
   bool open();
 
   [[nodiscard]] const std::string& error() const { return error_; }

@@ -3,117 +3,78 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 
 #include "ckpt/snapshot.hpp"
+#include "util/atomic_file.hpp"
 #include "util/unix_socket.hpp"
 
 namespace memsched::serve {
 
 namespace {
 
-void append_u32(std::vector<std::uint8_t>& buf, std::uint32_t v) {
-  buf.push_back(static_cast<std::uint8_t>(v & 0xff));
-  buf.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-  buf.push_back(static_cast<std::uint8_t>((v >> 16) & 0xff));
-  buf.push_back(static_cast<std::uint8_t>((v >> 24) & 0xff));
-}
+constexpr std::size_t kHeaderBytes = 3 * sizeof(std::uint32_t);
 
-std::uint32_t load_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
+/// The frame-header checks parse_frame and read_message share: the magic,
+/// then the length bound. Returns the payload length and sets `crc`, or sets
+/// `error`.
+std::optional<std::uint32_t> check_header(std::uint32_t magic, const std::uint8_t* header,
+                                          std::uint32_t& crc, std::string& error) {
+  ckpt::Reader h = ckpt::Reader::record(header, kHeaderBytes);
+  if (h.get_u32() != magic) {
+    error = "bad magic";
+    return std::nullopt;
+  }
+  const std::uint32_t len = h.get_u32();
+  if (len > kMaxFramePayload) {
+    error = "implausible frame length";
+    return std::nullopt;
+  }
+  crc = h.get_u32();
+  return len;
 }
 
 }  // namespace
 
-void WireWriter::put_u32(std::uint32_t v) { append_u32(buf_, v); }
-
-void WireWriter::put_u64(std::uint64_t v) {
-  append_u32(buf_, static_cast<std::uint32_t>(v & 0xffff'ffffu));
-  append_u32(buf_, static_cast<std::uint32_t>(v >> 32));
-}
-
-void WireWriter::put_str(const std::string& s) {
-  if (s.size() > kMaxFramePayload) throw WireError("wire: string too large to encode");
-  append_u32(buf_, static_cast<std::uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
-const std::uint8_t* WireReader::need(std::size_t n) {
-  if (size_ - pos_ < n) throw WireError("wire: record truncated");
-  const std::uint8_t* p = data_ + pos_;
-  pos_ += n;
-  return p;
-}
-
-std::uint8_t WireReader::get_u8() { return *need(1); }
-
-std::uint32_t WireReader::get_u32() { return load_u32(need(4)); }
-
-std::uint64_t WireReader::get_u64() {
-  const std::uint64_t lo = get_u32();
-  const std::uint64_t hi = get_u32();
-  return lo | (hi << 32);
-}
-
-std::string WireReader::get_str() {
-  const std::uint32_t n = get_u32();
-  if (n > kMaxFramePayload) throw WireError("wire: string length implausible");
-  const std::uint8_t* p = need(n);
-  return std::string(reinterpret_cast<const char*>(p), n);
-}
-
 std::vector<std::uint8_t> frame_payload(std::uint32_t magic,
                                         const std::vector<std::uint8_t>& payload) {
-  if (payload.size() > kMaxFramePayload) throw WireError("wire: payload too large");
-  std::vector<std::uint8_t> out;
-  out.reserve(12 + payload.size());
-  append_u32(out, magic);
-  append_u32(out, static_cast<std::uint32_t>(payload.size()));
-  append_u32(out, ckpt::crc32(payload.data(), payload.size()));
+  if (payload.size() > kMaxFramePayload) throw ckpt::SnapshotError("wire: payload too large");
+  ckpt::Writer w;
+  w.put_u32(magic);
+  w.put_u32(static_cast<std::uint32_t>(payload.size()));
+  w.put_u32(ckpt::crc32(payload.data(), payload.size()));
+  std::vector<std::uint8_t> out = w.record();
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 
 FrameParse parse_frame(std::uint32_t magic, const std::uint8_t* data, std::size_t size) {
   FrameParse r;
-  if (size < 12) {
+  if (size < kHeaderBytes) {
     // Could still be a valid header mid-write — but only if what IS there
     // matches the magic prefix. A wrong byte this early is corruption.
-    const std::size_t have = std::min<std::size_t>(size, 4);
-    std::uint8_t want[4];
-    want[0] = static_cast<std::uint8_t>(magic & 0xff);
-    want[1] = static_cast<std::uint8_t>((magic >> 8) & 0xff);
-    want[2] = static_cast<std::uint8_t>((magic >> 16) & 0xff);
-    want[3] = static_cast<std::uint8_t>((magic >> 24) & 0xff);
-    if (std::memcmp(data, want, have) != 0) {
+    if (std::memcmp(data, &magic, std::min(size, sizeof magic)) != 0) {
       r.error = "bad magic";
-      return r;
+    } else {
+      r.need_more = true;
     }
+    return r;
+  }
+  std::uint32_t crc = 0;
+  const std::optional<std::uint32_t> len = check_header(magic, data, crc, r.error);
+  if (!len) return r;
+  if (size - kHeaderBytes < *len) {
     r.need_more = true;
     return r;
   }
-  if (load_u32(data) != magic) {
-    r.error = "bad magic";
-    return r;
-  }
-  const std::uint32_t len = load_u32(data + 4);
-  if (len > kMaxFramePayload) {
-    r.error = "implausible frame length";
-    return r;
-  }
-  if (size - 12 < len) {
-    r.need_more = true;
-    return r;
-  }
-  const std::uint32_t want_crc = load_u32(data + 8);
-  if (ckpt::crc32(data + 12, len) != want_crc) {
+  const std::uint8_t* payload = data + kHeaderBytes;
+  if (ckpt::crc32(payload, *len) != crc) {
     r.error = "payload CRC mismatch";
     return r;
   }
   r.ok = true;
-  r.consumed = 12 + static_cast<std::size_t>(len);
-  r.payload.assign(data + 12, data + 12 + len);
+  r.consumed = kHeaderBytes + *len;
+  r.payload.assign(payload, payload + *len);
   return r;
 }
 
@@ -123,31 +84,23 @@ bool write_message(int fd, const std::vector<std::uint8_t>& payload) {
 }
 
 bool read_message(int fd, std::vector<std::uint8_t>* payload, std::string* error) {
-  std::uint8_t header[12];
-  if (!util::read_exact(fd, header, sizeof header)) {
-    if (error) *error = errno == 0 ? "eof" : "read error";
-    return false;
+  std::vector<std::uint8_t> frame(kHeaderBytes);
+  std::string why;
+  std::uint32_t crc = 0;
+  if (!util::read_exact(fd, frame.data(), kHeaderBytes)) {
+    why = errno == 0 ? "eof" : "read error";
+  } else if (const auto len = check_header(kWireFrameMagic, frame.data(), crc, why)) {
+    frame.resize(kHeaderBytes + *len);
+    if (!util::read_exact(fd, frame.data() + kHeaderBytes, *len)) {
+      why = "truncated frame";
+    } else {
+      FrameParse fp = parse_frame(kWireFrameMagic, frame.data(), frame.size());
+      *payload = std::move(fp.payload);
+      why = fp.error;
+    }
   }
-  if (load_u32(header) != kWireFrameMagic) {
-    if (error) *error = "bad magic";
-    return false;
-  }
-  const std::uint32_t len = load_u32(header + 4);
-  if (len > kMaxFramePayload) {
-    if (error) *error = "implausible frame length";
-    return false;
-  }
-  payload->resize(len);
-  if (len > 0 && !util::read_exact(fd, payload->data(), len)) {
-    if (error) *error = "truncated frame";
-    return false;
-  }
-  if (ckpt::crc32(payload->data(), len) != load_u32(header + 8)) {
-    if (error) *error = "payload CRC mismatch";
-    return false;
-  }
-  if (error) error->clear();
-  return true;
+  if (error) *error = why;
+  return why.empty();
 }
 
 bool write_json(int fd, const util::Json& doc) {

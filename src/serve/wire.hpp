@@ -1,9 +1,10 @@
-// Byte-level codec shared by the job queue's WAL records and the daemon's
-// socket protocol.
+// Framing shared by the job queue's WAL records and the daemon's socket
+// protocol.
 //
-// WireWriter/WireReader serialize plain scalars and length-prefixed strings
-// into a flat byte buffer (little-endian, like every on-disk format in this
-// codebase). Framing adds a fixed header per record:
+// Record fields are ckpt's (ckpt::Writer::record / ckpt::Reader::record:
+// little-endian scalars, u32-length strings, one bounds check, and
+// ckpt::SnapshotError on any structural problem). Framing adds a fixed
+// header per record:
 //
 //   magic u32  'MSQ1' (queue records) or 'MSG1' (socket messages)
 //   len   u32  payload byte count (bounded; a torn length can't OOM us)
@@ -14,14 +15,9 @@
 // WAL append SIGKILLed at any byte offset leaves a tail whose magic, length
 // or CRC cannot check out, and recovery truncates it; a half-written socket
 // message is rejected the same way instead of being half-interpreted.
-//
-// WireReader throws WireError on any structural problem (short buffer,
-// over-read, oversized string) — never UB; callers treat it exactly like
-// ckpt::SnapshotError.
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -36,50 +32,8 @@ inline constexpr std::uint32_t kWireFrameMagic = 0x3147'534d;   // "MSG1"
 /// anything bigger is a corrupt length field, not a legitimate message.
 inline constexpr std::uint32_t kMaxFramePayload = 16u * 1024 * 1024;
 
-class WireError : public std::runtime_error {
- public:
-  explicit WireError(const std::string& what) : std::runtime_error(what) {}
-};
-
-/// Appends typed fields to a byte buffer.
-class WireWriter {
- public:
-  void put_u8(std::uint8_t v) { buf_.push_back(v); }
-  void put_u32(std::uint32_t v);
-  void put_u64(std::uint64_t v);
-  void put_str(const std::string& s);
-
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
-
- private:
-  std::vector<std::uint8_t> buf_;
-};
-
-/// Reads typed fields back; every accessor throws WireError on over-read.
-class WireReader {
- public:
-  WireReader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
-  explicit WireReader(const std::vector<std::uint8_t>& buf)
-      : WireReader(buf.data(), buf.size()) {}
-
-  std::uint8_t get_u8();
-  std::uint32_t get_u32();
-  std::uint64_t get_u64();
-  std::string get_str();
-
-  /// Bytes not yet consumed (0 when a record was read exactly).
-  [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
-
- private:
-  const std::uint8_t* need(std::size_t n);
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-/// Wraps `payload` in a magic/len/CRC frame.
+/// Wraps `payload` in a magic/len/CRC frame. Throws ckpt::SnapshotError
+/// when the payload exceeds kMaxFramePayload.
 [[nodiscard]] std::vector<std::uint8_t> frame_payload(
     std::uint32_t magic, const std::vector<std::uint8_t>& payload);
 
@@ -102,7 +56,7 @@ struct FrameParse {
 [[nodiscard]] bool write_message(int fd, const std::vector<std::uint8_t>& payload);
 
 /// Reads one framed message from `fd` (blocking). False on EOF, I/O error,
-/// or a corrupt frame (`*error` says which).
+/// or a corrupt frame (`*error` says which, in parse_frame's words).
 [[nodiscard]] bool read_message(int fd, std::vector<std::uint8_t>* payload,
                                 std::string* error);
 

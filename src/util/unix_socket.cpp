@@ -68,20 +68,6 @@ Fd unix_connect(const std::string& path) {
   }
 }
 
-bool write_all(int fd, const void* data, std::size_t size) {
-  const char* p = static_cast<const char*>(data);
-  while (size > 0) {
-    const ssize_t n = ::write(fd, p, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 bool read_exact(int fd, void* data, std::size_t size) {
   char* p = static_cast<char*>(data);
   while (size > 0) {

@@ -2,11 +2,12 @@
 //
 // The serve subsystem talks to its clients over a Unix-domain socket; this
 // header keeps the raw syscall handling (socket/bind/listen/accept/connect,
-// EINTR-safe exact reads and writes, CLOEXEC hygiene) in util so the daemon
-// and the client tool share one audited implementation and src/serve stays
-// free of errno plumbing. Deliberately low-level: framing, CRCs and message
-// vocabulary live a layer up (src/serve/wire.*) — util must not depend on
-// ckpt's crc32.
+// EINTR-safe exact reads, CLOEXEC hygiene) in util so the daemon and the
+// client tool share one audited implementation and src/serve stays free of
+// errno plumbing. Writes go through util::write_all (util/atomic_file.hpp),
+// the one write loop for files and sockets. Deliberately low-level: framing,
+// CRCs and message vocabulary live a layer up (src/serve/wire.*) — util must
+// not depend on ckpt's crc32.
 //
 // All functions are synchronous and return -1/false with errno set on
 // failure; nothing here throws. Callers that need bounded waits poll the fd
@@ -64,9 +65,6 @@ class Fd {
 /// Connects to the Unix-domain socket at `path`; invalid Fd + errno on
 /// failure (ENOENT / ECONNREFUSED when no daemon is listening).
 [[nodiscard]] Fd unix_connect(const std::string& path);
-
-/// Writes exactly `size` bytes, looping over short writes and EINTR.
-[[nodiscard]] bool write_all(int fd, const void* data, std::size_t size);
 
 /// Reads exactly `size` bytes, looping over short reads and EINTR. False on
 /// EOF or error (errno 0 on clean EOF).

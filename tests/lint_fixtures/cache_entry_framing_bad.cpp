@@ -30,7 +30,7 @@ inline void encode_swapped(ckpt::Writer& w, const Entry& e) {
   put_u64(w, e.ticks);
 }
 inline void decode_swapped(ckpt::Reader& r, Entry& e) {
-  get_u64(r, e.ticks);  // expect-lint: cache-entry-framing
+  get_u64(r, e.ticks);  // expect-lint: ckpt-symmetry
   get_str(r, e.name);
 }
 
@@ -39,7 +39,7 @@ inline void encode_truncated(ckpt::Writer& w, const Entry& e) {
   put_str(w, e.name);
   put_str(w, e.payload);
 }
-inline void decode_truncated(ckpt::Reader& r, Entry& e) {  // expect-lint: cache-entry-framing
+inline void decode_truncated(ckpt::Reader& r, Entry& e) {  // expect-lint: ckpt-symmetry
   get_str(r, e.name);
 }
 

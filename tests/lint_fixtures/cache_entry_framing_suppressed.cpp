@@ -26,7 +26,7 @@ inline void encode_legacy(ckpt::Writer& w, const Entry& e) {
 }
 
 // Old stores carry a trailing u64 revision we no longer write.
-// memsched-lint: allow(cache-entry-framing)
+// memsched-lint: allow(ckpt-symmetry)
 inline void decode_legacy(ckpt::Reader& r, Entry& e) {
   get_str(r, e.payload);
   get_u64(r, e.legacy_rev);

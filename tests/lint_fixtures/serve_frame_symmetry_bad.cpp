@@ -34,7 +34,7 @@ inline void encode_swapped_record(WireWriter& w, const Record& rec) {
   w.put_str(rec.key);
 }
 inline void decode_swapped_record(WireReader& r, Record& rec) {
-  rec.key = r.get_str();  // expect-lint: cache-entry-framing
+  rec.key = r.get_str();  // expect-lint: ckpt-symmetry
   rec.id = r.get_u64();
 }
 
@@ -45,7 +45,7 @@ inline void encode_short_record(WireWriter& w, const Record& rec) {
   w.put_str(rec.key);
   w.put_u32(rec.attempts);
 }
-inline void decode_short_record(WireReader& r, Record& rec) {  // expect-lint: cache-entry-framing
+inline void decode_short_record(WireReader& r, Record& rec) {  // expect-lint: ckpt-symmetry
   rec.id = r.get_u64();
   rec.key = r.get_str();
 }

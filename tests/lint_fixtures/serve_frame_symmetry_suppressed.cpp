@@ -29,7 +29,7 @@ inline void encode_legacy_record(WireWriter& w, const Record& rec) {
 }
 
 // Pre-v2 WALs carry a trailing flags word we no longer write.
-// memsched-lint: allow(cache-entry-framing)
+// memsched-lint: allow(ckpt-symmetry)
 inline void decode_legacy_record(WireReader& r, Record& rec) {
   rec.id = r.get_u64();
   rec.spec = r.get_str();

@@ -15,10 +15,12 @@
 // rejection itself.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -32,6 +34,7 @@
 #include "sim/json_report.hpp"
 #include "sim/system.hpp"
 #include "sim/workloads.hpp"
+#include "util/fs_fault.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -601,6 +604,36 @@ TEST(Ckpt, CorruptSnapshotFallsBackCleanly) {
   EXPECT_TRUE(info.attempted);
   EXPECT_FALSE(info.resumed);
   EXPECT_FALSE(info.error.empty());
+}
+
+// A snapshot that exists but cannot be read is a bad snapshot like any other:
+// a SnapshotError naming the errno, and a fallback to tick 0.
+TEST(Snapshot, ReadErrorFallsBackToTickZero) {
+  const sim::Workload w = sim::workload_by_name("2MEM-1");
+  const sim::SystemConfig cfg = base_config(sim::Engine::kSkip, w.cores(), false);
+  const std::string baseline = run_once(cfg, w, "HF-RF");
+
+  const std::string path = tmp_path("read_error.ckpt");
+  std::remove(path.c_str());
+  ckpt::CheckpointPolicy p;
+  p.path = path;
+  p.stop_at_tick = 1'500;
+  EXPECT_THROW(run_once(cfg, w, "HF-RF", p), ckpt::CheckpointStop);
+
+  struct FailReads : util::FsFaultHooks {
+    int fail_op(const char* op) override { return std::strcmp(op, "read") == 0 ? EIO : 0; }
+  } eio;
+  ckpt::ResumeInfo info;
+  ckpt::CheckpointPolicy fin;
+  fin.path = path;
+  fin.resume_info = &info;
+  {
+    const util::ScopedFsFaults armed(&eio);
+    EXPECT_EQ(run_once(cfg, w, "HF-RF", fin), baseline);
+  }
+  EXPECT_TRUE(info.attempted);
+  EXPECT_FALSE(info.resumed);
+  EXPECT_NE(info.error.find(std::strerror(EIO)), std::string::npos) << info.error;
 }
 
 TEST(Ckpt, GarbageFileFallsBackCleanly) {

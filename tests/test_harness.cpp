@@ -5,9 +5,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -29,6 +31,7 @@
 #include "sim/system.hpp"
 #include "sim/watchdog.hpp"
 #include "trace/app_profile.hpp"
+#include "util/fs_fault.hpp"
 #include "util/json.hpp"
 
 using namespace memsched;
@@ -341,6 +344,27 @@ TEST(Orchestrator, RunsPointsAndSplicesPayloads) {
   const util::Json result =
       util::Json::parse(rep.at("points").at(0).at("result").dump(-1));
   EXPECT_DOUBLE_EQ(result.at("value").as_number(), 1.0);
+}
+
+// The child wrote its result, but the parent cannot read it back: the attempt
+// fails with the read error, not as a child that wrote nothing.
+TEST(Orchestrator, UnreadableResultNamesTheReadError) {
+  harness::Orchestrator orch(quick_config("unreadable"));
+  struct FailReads : util::FsFaultHooks {
+    int fail_op(const char* op) override { return std::strcmp(op, "read") == 0 ? EIO : 0; }
+  } eio;
+  harness::SweepSummary s;
+  {
+    const util::ScopedFsFaults armed(&eio);
+    s = orch.run({ok_point("p", 1.0)});
+  }
+  EXPECT_EQ(s.failed, 1u);
+  const harness::PointRecord* r = orch.manifest().find("p");
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->status, "failed");
+  EXPECT_EQ(r->category, "internal");
+  EXPECT_NE(r->error.find("cannot read result file"), std::string::npos) << r->error;
+  EXPECT_NE(r->error.find(std::strerror(EIO)), std::string::npos) << r->error;
 }
 
 TEST(Orchestrator, RetriesThenRecordsFailureAndContinues) {

@@ -97,7 +97,6 @@ const char kDetUnorderedIter[] = "det-unordered-iter";
 const char kDetPointerKey[] = "det-pointer-key";
 const char kDetBannedCall[] = "det-banned-call";
 const char kCkptSymmetry[] = "ckpt-symmetry";
-const char kCacheEntryFraming[] = "cache-entry-framing";
 const char kContractMain[] = "contract-guarded-main";
 const char kContractAssert[] = "contract-raw-assert";
 const char kContractConfigKey[] = "contract-config-key";
@@ -405,6 +404,12 @@ void check_banned_call(const std::string& rel, const Sig& s, const Decls& d,
 
 // ---------------------------------------------------------------------------
 // ckpt-symmetry
+//
+// A writer and its reader must serialize the same put_*/get_* field sequence,
+// or every stored byte decodes as garbage. Two kinds of pair: save_state /
+// load_state by owning class (component snapshots), and free functions
+// encode_<kind> / decode_<kind> by the <kind> suffix (result-cache entries,
+// WAL records).
 
 struct SerEvent {
   std::string kind;    ///< scalar suffix ("u64", "bool", ...), "nested", or
@@ -413,7 +418,8 @@ struct SerEvent {
 };
 
 struct SerFunc {
-  std::string owner;
+  std::string owner;  ///< pairing key: the class, or "encode_/decode_<kind>"
+  std::string name;   ///< save_state, load_state, encode_<kind>, decode_<kind>
   bool is_save = false;
   int line = 0;
   std::vector<SerEvent> events;
@@ -502,7 +508,10 @@ void check_ckpt_symmetry(const std::string& rel, const Sig& s,
       continue;
     }
     if (s[i]->kind != TokKind::kIdent || !is_punct(s, i + 1, "(")) continue;
-    if (s[i]->text != "save_state" && s[i]->text != "load_state") continue;
+    const std::string& n = s[i]->text;
+    const bool state = n == "save_state" || n == "load_state";
+    const bool codec = n.size() > 7 && (starts_with(n, "encode_") || starts_with(n, "decode_"));
+    if (!state && !codec) continue;
     const std::size_t close = match_bracket(s, i + 1);
     if (close == s.size()) continue;
     std::size_t k = close + 1;
@@ -513,9 +522,12 @@ void check_ckpt_symmetry(const std::string& rel, const Sig& s,
     }
     if (!is_punct(s, k, "{")) continue;  // declaration or a call, not a definition
     SerFunc f;
-    f.is_save = s[i]->text == "save_state";
+    f.name = n;
+    f.is_save = n == "save_state" || starts_with(n, "encode_");
     f.line = s[i]->line;
-    if (i >= 2 && is_punct(s, i - 1, "::") && s[i - 2]->kind == TokKind::kIdent) {
+    if (codec) {
+      f.owner = "encode_/decode_" + n.substr(7);
+    } else if (i >= 2 && is_punct(s, i - 1, "::") && s[i - 2]->kind == TokKind::kIdent) {
       f.owner = s[i - 2]->text;
     } else if (!class_stack.empty()) {
       f.owner = class_stack.back().second;
@@ -544,18 +556,18 @@ void check_ckpt_symmetry(const std::string& rel, const Sig& s,
     for (std::size_t i = 0; i < n; ++i) {
       if (save->events[i].kind == load->events[i].kind) continue;
       std::ostringstream msg;
-      msg << owner << ": serialized field sequence diverges at step " << i + 1
-          << " — save_state writes '" << save->events[i].kind << "' (line "
-          << save->events[i].line << ") but load_state reads '" << load->events[i].kind
-          << "'";
+      msg << owner << ": serialized field sequence diverges at step " << i + 1 << " — "
+          << save->name << " writes '" << save->events[i].kind << "' (line "
+          << save->events[i].line << ") but " << load->name << " reads '"
+          << load->events[i].kind << "'";
       out.push_back({kCkptSymmetry, rel, load->events[i].line, 1, msg.str()});
       mismatch = true;
       break;
     }
     if (!mismatch && save->events.size() != load->events.size()) {
       std::ostringstream msg;
-      msg << owner << ": save_state serializes " << save->events.size()
-          << " field(s) (line " << save->line << ") but load_state reads "
+      msg << owner << ": " << save->name << " serializes " << save->events.size()
+          << " field(s) (line " << save->line << ") but " << load->name << " reads "
           << load->events.size();
       out.push_back({kCkptSymmetry, rel, load->line, 1, msg.str()});
       mismatch = true;
@@ -564,76 +576,10 @@ void check_ckpt_symmetry(const std::string& rel, const Sig& s,
     for (const std::string& m : save->members) {
       if (!contains(load->members, m)) {
         out.push_back({kCkptSymmetry, rel, load->line, 1,
-                       owner + ": field '" + m +
-                           "' is written by save_state but never mentioned by "
-                           "load_state — restored state would silently drop it"});
+                       owner + ": field '" + m + "' is written by " + save->name +
+                           " but never mentioned by " + load->name +
+                           " — restored state would silently drop it"});
       }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// cache-entry-framing
-//
-// The result cache frames entries through paired free functions named
-// encode_<kind>(Writer&, ...) / decode_<kind>(Reader&, ...). Same failure
-// mode as ckpt-symmetry — a writer/reader that disagree about the field
-// sequence corrupt silently — but the pairing key is the function-name
-// suffix rather than an owning class.
-
-void check_cache_entry_framing(const std::string& rel, const Sig& s,
-                               std::vector<Diagnostic>& out) {
-  std::vector<SerFunc> funcs;  // owner = <kind> suffix; is_save = encode side
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i]->kind != TokKind::kIdent || !is_punct(s, i + 1, "(")) continue;
-    const std::string& n = s[i]->text;
-    const bool enc = starts_with(n, "encode_");
-    const bool dec = starts_with(n, "decode_");
-    if ((!enc && !dec) || n.size() <= 7) continue;
-    const std::size_t close = match_bracket(s, i + 1);
-    if (close == s.size()) continue;
-    std::size_t k = close + 1;
-    while (k < s.size() && (is_ident(s, k, "const") || is_ident(s, k, "noexcept"))) ++k;
-    if (!is_punct(s, k, "{")) continue;  // declaration or call site, not a body
-    SerFunc f;
-    f.owner = n.substr(7);
-    f.is_save = enc;
-    f.line = s[i]->line;
-    extract_events(s, k, match_bracket(s, k), f);
-    funcs.push_back(std::move(f));
-    i = k;
-  }
-
-  std::vector<std::string> kinds;
-  for (const SerFunc& f : funcs) add_unique(kinds, f.owner);
-  for (const std::string& kind : kinds) {
-    const SerFunc* enc = nullptr;
-    const SerFunc* dec = nullptr;
-    for (const SerFunc& f : funcs) {
-      if (f.owner != kind) continue;
-      (f.is_save ? enc : dec) = &f;
-    }
-    if (enc == nullptr || dec == nullptr) continue;
-    const std::size_t n = std::min(enc->events.size(), dec->events.size());
-    bool diverged = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (enc->events[i].kind == dec->events[i].kind) continue;
-      std::ostringstream msg;
-      msg << "entry kind '" << kind << "': field sequence diverges at step " << i + 1
-          << " — encode_" << kind << " writes '" << enc->events[i].kind << "' (line "
-          << enc->events[i].line << ") but decode_" << kind << " reads '"
-          << dec->events[i].kind << "'; a stored entry would decode garbage";
-      out.push_back({kCacheEntryFraming, rel, dec->events[i].line, 1, msg.str()});
-      diverged = true;
-      break;
-    }
-    if (!diverged && enc->events.size() != dec->events.size()) {
-      std::ostringstream msg;
-      msg << "entry kind '" << kind << "': encode_" << kind << " writes "
-          << enc->events.size() << " field(s) (line " << enc->line << ") but decode_"
-          << kind << " reads " << dec->events.size()
-          << "; reader and writer disagree about the entry schema";
-      out.push_back({kCacheEntryFraming, rel, dec->line, 1, msg.str()});
     }
   }
 }
@@ -852,9 +798,8 @@ void check_perf_hot_path(const std::string& rel, const Sig& s, const Decls& d,
 
 const std::vector<std::string>& all_checks() {
   static const std::vector<std::string> kAll = {
-      kCacheEntryFraming, kCkptSymmetry,  kContractConfigKey, kContractMain,
-      kContractAssert,    kDetBannedCall, kDetPointerKey,     kDetUnorderedIter,
-      kPerfHotPath};
+      kCkptSymmetry,  kContractConfigKey, kContractMain,     kContractAssert,
+      kDetBannedCall, kDetPointerKey,     kDetUnorderedIter, kPerfHotPath};
   return kAll;
 }
 
@@ -896,7 +841,6 @@ std::vector<Diagnostic> run_checks(const std::string& rel_path,
     check_banned_call(rel_path, s, decls, out);
   }
   if (code_scope && on(kCkptSymmetry)) check_ckpt_symmetry(rel_path, s, out);
-  if (code_scope && on(kCacheEntryFraming)) check_cache_entry_framing(rel_path, s, out);
   if ((sc.in_tools || sc.in_bench || sc.in_examples) && on(kContractMain)) {
     check_guarded_main(rel_path, s, out);
   }

@@ -10,15 +10,13 @@
 //                        clock_gettime()/std::random_device and raw
 //                        std::chrono *_clock::now() outside the blessed
 //                        wrappers (src/util/rng.*, src/util/wallclock.hpp)
-//   ckpt-symmetry        for every class defining both save_state and
-//                        load_state, the serialized field sequence (put_*/
-//                        get_* kinds, section names, nested delegations)
-//                        must match, and every member written by save_state
-//                        must be mentioned by load_state
-//   cache-entry-framing  paired free functions encode_<kind> / decode_<kind>
-//                        (result-cache entry codecs) must frame the same
-//                        put_*/get_* field sequence; a divergence decodes
-//                        garbage from every stored entry
+//   ckpt-symmetry        every writer/reader pair — save_state/load_state
+//                        of one class, and free encode_<kind>/decode_<kind>
+//                        (result-cache entries, WAL records) — must
+//                        serialize the same field sequence (put_*/get_*
+//                        kinds, section names, nested delegations), and
+//                        every member the writer writes must be mentioned
+//                        by the reader
 //   contract-guarded-main main() in tools/, bench/ and examples/ must route
 //                        through harness::guarded_main so uncaught errors
 //                        keep the exit-code contract

@@ -13,20 +13,19 @@
 //       truncation) and print every job's state. Exits 1 if any bytes had
 //       to be truncated or the queue is degraded.
 //
-// MEMSCHED_QUEUE_FSFAULT ("seed=N,short_write=P,enospc=P,eio=P,bitflip=P")
-// arms deterministic fault injection around the queue's file I/O only —
-// the chaos harness for the degraded-mode paths.
+// MEMSCHED_FSFAULT ("seed=N,short_write=P,enospc=P,eio=P,bitflip=P") arms
+// deterministic fault injection around the queue's file I/O only — the
+// chaos harness for the degraded-mode paths.
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "ckpt/signal.hpp"
 #include "harness/guarded_main.hpp"
-#include "mc/fault_injector.hpp"
 #include "serve/daemon.hpp"
 #include "util/config.hpp"
+#include "util/fs_fault.hpp"
 
 using namespace memsched;
 
@@ -40,20 +39,6 @@ int usage() {
                "         [backoff=SECONDS] [quiet=0|1]\n"
                "  check  state=DIR\n");
   throw std::invalid_argument("bad served command line");
-}
-
-/// Deterministic chaos source for the job queue, armed from
-/// MEMSCHED_QUEUE_FSFAULT. Unset = no injector, zero overhead. Owned here so
-/// it outlives the daemon that borrows the hook pointer.
-util::FsFaultHooks* queue_fault_hooks() {
-  static const std::unique_ptr<mc::FsFaultInjector> injector = [] {
-    const char* spec = std::getenv("MEMSCHED_QUEUE_FSFAULT");
-    if (spec == nullptr || *spec == '\0') {
-      return std::unique_ptr<mc::FsFaultInjector>{};
-    }
-    return std::make_unique<mc::FsFaultInjector>(mc::FsFaultConfig::parse(spec));
-  }();
-  return injector.get();
 }
 
 int cmd_start(const util::Config& cli) {
@@ -76,7 +61,7 @@ int cmd_start(const util::Config& cli) {
   cfg.verbose = !cli.get_bool("quiet", false);
   cfg.stop = &ckpt::stop_flag();
   cfg.stop_fd = ckpt::stop_pipe_fd();
-  cfg.queue_faults = queue_fault_hooks();
+  cfg.queue_faults = util::env_fs_faults();
 
   serve::Daemon daemon(cfg);
   if (!daemon.start()) {
@@ -91,7 +76,7 @@ int cmd_check(const util::Config& cli) {
   const std::string state = cli.get_string("state", "");
   if (state.empty()) return usage();
 
-  serve::JobQueue queue(state + "/queue", queue_fault_hooks());
+  serve::JobQueue queue(state + "/queue", util::env_fs_faults());
   if (!queue.open()) {
     std::fprintf(stderr, "memsched_served: %s\n", queue.error().c_str());
     return 5;

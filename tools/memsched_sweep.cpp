@@ -15,18 +15,17 @@
 // the sweep still completes and the report marks the gaps.
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "ckpt/signal.hpp"
-#include "mc/fault_injector.hpp"
 #include "harness/bench_registry.hpp"
 #include "harness/grid.hpp"
 #include "harness/guarded_main.hpp"
 #include "harness/orchestrator.hpp"
 #include "util/config.hpp"
+#include "util/fs_fault.hpp"
 
 using namespace memsched;
 
@@ -57,21 +56,6 @@ int usage() {
   throw std::invalid_argument("bad sweep command line");
 }
 
-/// Deterministic chaos source for the result cache, armed from the
-/// MEMSCHED_CACHE_FSFAULT environment variable ("seed=N,short_write=P,
-/// enospc=P,eio=P,bitflip=P"). Unset = no injector, zero overhead. Owned
-/// here so it outlives the orchestrator that borrows the hook pointer.
-util::FsFaultHooks* cache_fault_hooks() {
-  static const std::unique_ptr<mc::FsFaultInjector> injector = [] {
-    const char* spec = std::getenv("MEMSCHED_CACHE_FSFAULT");
-    if (spec == nullptr || *spec == '\0') {
-      return std::unique_ptr<mc::FsFaultInjector>{};
-    }
-    return std::make_unique<mc::FsFaultInjector>(mc::FsFaultConfig::parse(spec));
-  }();
-  return injector.get();
-}
-
 harness::OrchestratorConfig orchestrator_from(const util::Config& cli,
                                               const std::string& fingerprint) {
   harness::OrchestratorConfig oc;
@@ -95,7 +79,8 @@ harness::OrchestratorConfig orchestrator_from(const util::Config& cli,
       oc.cache_dir = env;
     }
   }
-  if (!oc.cache_dir.empty()) oc.cache_faults = cache_fault_hooks();
+  // MEMSCHED_FSFAULT chaos is armed around the result cache's I/O only.
+  if (!oc.cache_dir.empty()) oc.cache_faults = util::env_fs_faults();
   return oc;
 }
 
