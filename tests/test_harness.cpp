@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "golden_file.hpp"
 #include "harness/cost_model.hpp"
 #include "harness/fingerprint.hpp"
 #include "harness/grid.hpp"
@@ -31,6 +33,7 @@
 #include "sim/system.hpp"
 #include "sim/watchdog.hpp"
 #include "trace/app_profile.hpp"
+#include "util/config.hpp"
 #include "util/fs_fault.hpp"
 #include "util/json.hpp"
 
@@ -954,4 +957,106 @@ TEST(OrchestratorPool, ChildExitSixHaltsPoolWithoutRecordingIt) {
   EXPECT_FALSE(s.complete());
   // The parked point must stay unrecorded so the next invocation re-runs it.
   EXPECT_EQ(orch.manifest().find("parked"), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Grid sweeps end to end. The pins hash whole report bytes, so nothing about
+// how a point reaches its result (where its single-core references are
+// simulated, how many times, on which process) may show in the output.
+
+namespace {
+
+harness::GridSpec grid_of(std::initializer_list<const char*> tokens) {
+  util::Config cli;
+  for (const char* kv : tokens) EXPECT_FALSE(cli.parse_token(kv).has_value()) << kv;
+  return harness::grid_from_config(cli);
+}
+
+/// 2MEM-1 and 4MIX-1 x HF-RF, ME-LREQ, TCM, two slices per point, with
+/// fault injection on one point (its references key apart from the rest).
+harness::GridSpec pinned_grid() {
+  return grid_of({"workloads=2MEM-1,4MIX-1", "schemes=HF-RF,ME-LREQ,TCM", "insts=5000",
+                  "profile_insts=10000", "warmup=5000", "repeats=2", "verify=0",
+                  "fault=1", "fault.delay=0.3", "fault.points=2MEM-1/TCM"});
+}
+
+/// engine=sampled with profiling runs long enough to fast-forward.
+harness::GridSpec pinned_sampled_grid() {
+  return grid_of({"workloads=2MEM-1", "schemes=HF-RF,ME-LREQ", "engine=sampled",
+                  "insts=20000", "profile_insts=400000", "warmup=5000", "repeats=1",
+                  "verify=0"});
+}
+
+/// Every alone run needs more ticks than the budget; profiling runs fit.
+harness::GridSpec budget_grid() {
+  harness::GridSpec spec =
+      grid_of({"workloads=2MEM-1,4MIX-1", "schemes=HF-RF,ME-LREQ", "insts=20000",
+               "profile_insts=2000", "warmup=1000", "repeats=1", "verify=0"});
+  spec.cfg.max_ticks = 1500;
+  return spec;
+}
+
+struct GridRun {
+  harness::SweepSummary summary;
+  std::string report;
+  std::string manifest;
+  util::Json timing;
+};
+
+/// Runs `points` of `spec` into manifest `tag`; `fresh` wipes the manifest,
+/// its sidecar and the work dir first (a cold run).
+GridRun run_grid(const harness::GridSpec& spec, const std::vector<harness::PointSpec>& points,
+                 const std::string& tag, std::uint32_t jobs, bool isolate = true,
+                 bool fresh = true) {
+  harness::OrchestratorConfig oc = quick_config(tag);
+  oc.manifest_path = tmp_path(tag + ".manifest");
+  if (fresh) {
+    std::remove(oc.manifest_path.c_str());
+    std::remove((oc.manifest_path + ".timing.json").c_str());
+    std::filesystem::remove_all(oc.work_dir);
+  }
+  oc.fingerprint = harness::fingerprint(spec);
+  oc.jobs = jobs;
+  oc.isolate = isolate;
+  harness::Orchestrator orch(oc);
+  GridRun r;
+  r.summary = orch.run(points);
+  r.report = orch.report().dump(2);
+  r.manifest = slurp(oc.manifest_path);
+  r.timing = orch.timing_report();
+  return r;
+}
+
+// FNV-1a of report().dump(2) for the grids above, recorded before the sweep
+// pool computed references once per run.
+constexpr std::uint64_t kPinnedGridReport = 0x0191f243c583af1dULL;
+constexpr std::uint64_t kPinnedSampledReport = 0xcc66b5d1ec31884fULL;
+constexpr std::uint64_t kPinnedBudgetReport = 0xa3c43b0c22b23d23ULL;
+
+}  // namespace
+
+TEST(GridSweep, ReportBytesArePinned) {
+  const harness::GridSpec spec = pinned_grid();
+  const GridRun r = run_grid(spec, harness::grid_points(spec), "pin_grid", 2);
+  EXPECT_TRUE(r.summary.complete());
+  EXPECT_EQ(r.summary.ok, 6u);
+  EXPECT_EQ(golden::fnv1a_str(r.report), kPinnedGridReport) << r.report;
+}
+
+TEST(GridSweep, SampledReportBytesArePinned) {
+  const harness::GridSpec spec = pinned_sampled_grid();
+  const GridRun r = run_grid(spec, harness::grid_points(spec), "pin_sampled", 2);
+  EXPECT_TRUE(r.summary.complete());
+  EXPECT_EQ(r.summary.ok, 2u);
+  EXPECT_EQ(golden::fnv1a_str(r.report), kPinnedSampledReport) << r.report;
+}
+
+TEST(GridSweep, BudgetFailuresArePinned) {
+  // Every point fails on an alone run's tick budget; the records (status,
+  // category, error text) are part of the pinned bytes.
+  const harness::GridSpec spec = budget_grid();
+  const GridRun r = run_grid(spec, harness::grid_points(spec), "pin_budget", 2);
+  EXPECT_TRUE(r.summary.complete());
+  EXPECT_EQ(r.summary.failed, 4u);
+  EXPECT_EQ(golden::fnv1a_str(r.report), kPinnedBudgetReport) << r.report;
 }
