@@ -44,12 +44,6 @@ int run_bench(int argc, char** argv) {
 
   const auto& all = sim::table3_workloads();
 
-  // Profile every needed application first (serial, cached), so the
-  // parallel evaluation phase only reads the caches.
-  for (const auto& w : all) {
-    for (const auto& app : w.apps()) exp.profile(app.name);
-  }
-
   // Echo Table 3 so the workload composition is visible in the output.
   std::printf("Table 3 workload mixes:\n");
   for (const auto& w : all) {

@@ -1,5 +1,7 @@
 #include "harness/grid.hpp"
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 #include "ckpt/signal.hpp"
@@ -97,69 +99,125 @@ std::string config_fingerprint(const GridSpec& spec) {
   return grid_config_fingerprint(spec.cfg, spec.fault, spec.fault_points_csv);
 }
 
-std::vector<PointSpec> grid_points(const GridSpec& spec) {
-  const std::vector<std::string> fault_points = split_csv(spec.fault_points_csv);
-  const auto fault_targets = [&](const std::string& point_name) {
-    if (!spec.fault.enabled) return false;
-    if (fault_points.empty()) return true;
-    for (const std::string& p : fault_points) {
-      if (p == point_name) return true;
-    }
-    return false;
-  };
+namespace {
 
+/// What every point of one grid shares: the grid definition, and the run's
+/// single-core reference table while Orchestrator::run has one installed.
+/// Point bodies build their configuration and resolve their workload when
+/// they execute, so grid_points stays cheap.
+class GridState final : public SharedWork {
+ public:
+  explicit GridState(const GridSpec& spec)
+      : spec_(spec), fault_points_(split_csv(spec.fault_points_csv)) {}
+
+  /// Whether fault injection targets `point_name`.
+  [[nodiscard]] bool chaos(const std::string& point_name) const {
+    if (!spec_.fault.enabled) return false;
+    if (fault_points_.empty()) return true;
+    return std::find(fault_points_.begin(), fault_points_.end(), point_name) !=
+           fault_points_.end();
+  }
+
+  [[nodiscard]] util::Json run_point(const std::string& wname, const std::string& scheme,
+                                     bool chaos, const std::string& ckpt_dir) const {
+    sim::Experiment exp(experiment_config(chaos, ckpt_dir), refs_);
+    const sim::Workload w = sim::resolve_workload(wname);
+    const sim::WorkloadRun r = exp.run(w, scheme);
+    util::Json payload = util::Json::object();
+    payload["workload"] = w.name;
+    payload["scheme"] = r.scheme;
+    payload["fault_injected"] = chaos;
+    payload["smt_speedup"] = r.smt_speedup;
+    payload["unfairness"] = r.unfairness;
+    payload["avg_read_latency_cpu"] = r.avg_read_latency_cpu;
+    payload["row_hit_rate"] = r.row_hit_rate;
+    payload["bus_utilization"] = r.bus_utilization;
+    return payload;
+  }
+
+  /// The references of every named point's workload. Chaos points are left
+  /// out: a faulted configuration keys its references apart, so those
+  /// points simulate their own.
+  void compute(const std::vector<std::string>& points, std::uint32_t threads,
+               const std::string& ckpt_dir, const std::string& out_path) const override {
+    std::vector<std::string> names;
+    for (const std::string& point : points) {
+      if (!chaos(point)) names.push_back(point.substr(0, point.rfind('/')));
+    }
+    std::sort(names.begin(), names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+    std::vector<sim::Workload> workloads;
+    workloads.reserve(names.size());
+    for (const std::string& name : names) workloads.push_back(sim::resolve_workload(name));
+    const auto refs = std::make_shared<sim::ReferenceTable>();
+    sim::Experiment exp(experiment_config(false, spec_.ckpt_on ? ckpt_dir : ""), refs);
+    exp.compute_references(workloads, threads);
+    refs->save(out_path);
+  }
+
+  std::size_t install(const std::string& path) override {
+    auto refs = std::make_shared<sim::ReferenceTable>();
+    const std::size_t n = refs->load(path);
+    refs_ = std::move(refs);
+    return n;
+  }
+
+  void release() override { refs_.reset(); }
+
+ private:
+  [[nodiscard]] sim::ExperimentConfig experiment_config(bool chaos,
+                                                        const std::string& ckpt_dir) const {
+    sim::ExperimentConfig cfg = spec_.cfg;
+    if (chaos) {
+      cfg.base.fault = spec_.fault;
+      // Record-mode audit: induced corruption should be *counted* by the
+      // verification layer, not abort the child before the watchdogs get
+      // to demonstrate containment.
+      cfg.base.audit.abort_on_violation = false;
+    }
+    if (!ckpt_dir.empty()) {
+      cfg.ckpt_dir = ckpt_dir;
+      cfg.ckpt_interval = spec_.ckpt_interval;
+      cfg.ckpt_stop = &ckpt::stop_flag();
+    }
+    return cfg;
+  }
+
+  GridSpec spec_;
+  std::vector<std::string> fault_points_;
+  std::shared_ptr<sim::ReferenceTable> refs_;
+};
+
+}  // namespace
+
+std::vector<PointSpec> grid_points(const GridSpec& spec) {
+  const auto state = std::make_shared<GridState>(spec);
   std::vector<PointSpec> points;
   points.reserve(spec.workloads.size() * spec.schemes.size());
   for (const std::string& wname : spec.workloads) {
+    // Dispatch hint for the parallel executor: simulated work scales with
+    // instruction count x cores (workload names lead with the core count,
+    // "4MEM-1" = 4 cores). Replaced by measured wall time once a timing
+    // sidecar exists; a wrong hint only costs wall clock.
+    const double cores = (wname.empty() || wname[0] < '1' || wname[0] > '9')
+                             ? 1.0
+                             : static_cast<double>(wname[0] - '0');
+    const double cost_hint = static_cast<double>(spec.cfg.eval_insts) * cores *
+                             static_cast<double>(spec.cfg.eval_repeats);
     for (const std::string& scheme : spec.schemes) {
       PointSpec p;
       p.name = wname + "/" + scheme;
-      // Dispatch hint for the parallel executor: simulated work scales with
-      // instruction count x cores (workload names lead with the core count,
-      // "4MEM-1" = 4 cores). Replaced by measured wall time once a timing
-      // sidecar exists; a wrong hint only costs wall clock.
-      const double cores = (wname.empty() || wname[0] < '1' || wname[0] > '9')
-                               ? 1.0
-                               : static_cast<double>(wname[0] - '0');
-      p.cost_hint = static_cast<double>(spec.cfg.eval_insts) * cores *
-                    static_cast<double>(spec.cfg.eval_repeats);
-      const bool chaos = fault_targets(p.name);
-      const sim::ExperimentConfig cfg = spec.cfg;
-      const mc::FaultConfig fault = spec.fault;
-      const Tick ckpt_interval = spec.ckpt_interval;
-      auto payload_for = [cfg, wname, scheme, fault, chaos,
-                          ckpt_interval](const std::string& ckpt_dir) {
-        sim::ExperimentConfig point_cfg = cfg;
-        if (chaos) {
-          point_cfg.base.fault = fault;
-          // Record-mode audit: induced corruption should be *counted* by the
-          // verification layer, not abort the child before the watchdogs get
-          // to demonstrate containment.
-          point_cfg.base.audit.abort_on_violation = false;
-        }
-        if (!ckpt_dir.empty()) {
-          point_cfg.ckpt_dir = ckpt_dir;
-          point_cfg.ckpt_interval = ckpt_interval;
-          point_cfg.ckpt_stop = &ckpt::stop_flag();
-        }
-        sim::Experiment exp(point_cfg);
-        const sim::Workload w = sim::resolve_workload(wname);
-        const sim::WorkloadRun r = exp.run(w, scheme);
-        util::Json payload = util::Json::object();
-        payload["workload"] = w.name;
-        payload["scheme"] = r.scheme;
-        payload["fault_injected"] = chaos;
-        payload["smt_speedup"] = r.smt_speedup;
-        payload["unfairness"] = r.unfairness;
-        payload["avg_read_latency_cpu"] = r.avg_read_latency_cpu;
-        payload["row_hit_rate"] = r.row_hit_rate;
-        payload["bus_utilization"] = r.bus_utilization;
-        return payload;
-      };
+      p.cost_hint = cost_hint;
+      p.shared = state;
+      const bool chaos = state->chaos(p.name);
       if (spec.ckpt_on) {
-        p.body_ckpt = payload_for;
+        p.body_ckpt = [state, wname, scheme, chaos](const std::string& ckpt_dir) {
+          return state->run_point(wname, scheme, chaos, ckpt_dir);
+        };
       } else {
-        p.body = [payload_for]() { return payload_for(std::string{}); };
+        p.body = [state, wname, scheme, chaos] {
+          return state->run_point(wname, scheme, chaos, std::string{});
+        };
       }
       points.push_back(std::move(p));
     }

@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "cache/result_cache.hpp"
+#include "ckpt/snapshot.hpp"
 #include "harness/guarded_main.hpp"
 #include "sim/runner.hpp"
 #include "util/atomic_file.hpp"
@@ -54,6 +55,36 @@ std::string format_seconds(double seconds) {
 void remove_tree(const std::string& path) {
   std::error_code ec;
   std::filesystem::remove_all(path, ec);
+}
+
+/// fork() whose child writes stdout and stderr to the given files, keeping
+/// the parent's streams clean; the parent harvests them after exit. Returns
+/// as fork() does.
+pid_t fork_redirected(const std::string& stdout_path, const std::string& stderr_path) {
+  // Flush before fork so buffered output is not emitted twice.
+  std::fflush(stdout);
+  std::fflush(stderr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    redirect_to_file(stdout_path, STDOUT_FILENO);
+    redirect_to_file(stderr_path, STDERR_FILENO);
+  }
+  return pid;
+}
+
+/// Child side of an in-process body: runs `work`, then _exits with the
+/// contract code; a failure leaves its MEMSCHED_ERROR line on stderr.
+[[noreturn]] void finish_child(const std::string& name, const std::function<void()>& work) {
+  try {
+    work();
+    std::fflush(nullptr);
+    ::_exit(kExitOk);
+  } catch (...) {
+    const ErrorInfo info = classify_current_exception();
+    emit_error_line(name, info);
+    std::fflush(nullptr);
+    ::_exit(info.exit_code);
+  }
 }
 
 }  // namespace
@@ -140,6 +171,7 @@ bool Orchestrator::cache_lookup(const PointSpec& point, std::size_t index,
 
 SweepSummary Orchestrator::run(const std::vector<PointSpec>& points) {
   const auto start = util::monotonic_now();
+  references_ = ReferencePhase{};
   // Points overlap only behind the fork boundary, where the watchdog and
   // crash shielding live; in-process points run one at a time.
   const std::uint32_t jobs = cfg_.isolate ? resolve_jobs(cfg_.jobs) : 1;
@@ -208,6 +240,26 @@ SweepSummary Orchestrator::run_pool(const std::vector<PointSpec>& points,
     if (cache_lookup(point, i, summary, i + 1)) continue;
     est[i] = cost_.estimate(point.name, point.cost_hint);
     pending.push_back(Pending{i, 1, Clock::time_point{}});
+  }
+
+  // Reference phase, before the first point forks: the first shared-work
+  // hook a point about to execute holds is done once for every such point
+  // holding it. Its results live for this run only.
+  SharedWork* shared = nullptr;
+  std::vector<std::string> sharing;
+  for (const Pending& p : pending) {
+    const PointSpec& point = points[p.index];
+    if (!point.argv.empty() || point.shared == nullptr) continue;
+    if (shared == nullptr) shared = point.shared.get();
+    if (point.shared.get() == shared) sharing.push_back(point.name);
+  }
+  struct Release {
+    void operator()(SharedWork* w) const { w->release(); }
+  };
+  const std::unique_ptr<SharedWork, Release> release_on_return(shared);
+  if (shared != nullptr && !run_references(*shared, sharing, jobs)) {
+    summary.interrupted = true;
+    return summary;
   }
 
   // Longest-expected-first (LPT): start the slowest points first so the
@@ -459,17 +511,9 @@ pid_t Orchestrator::spawn_child(const PointSpec& point, std::size_t index,
     ::mkdir(ckpt_dir.c_str(), 0755);  // EEXIST expected across retries
   }
 
-  // Flush before fork so buffered output is not emitted twice.
-  std::fflush(stdout);
-  std::fflush(stderr);
-
-  const pid_t pid = ::fork();
+  const pid_t pid = fork_redirected(files.stdout_path, files.stderr_path);
   if (pid != 0) return pid;  // parent (or fork failure: -1, errno set)
 
-  // Child. Keep the parent's streams clean; diagnostics land in per-point
-  // files the parent harvests after exit.
-  redirect_to_file(files.stdout_path, STDOUT_FILENO);
-  redirect_to_file(files.stderr_path, STDERR_FILENO);
   if (!point.argv.empty()) {
     std::vector<char*> argv;
     argv.reserve(point.argv.size() + 1);
@@ -484,7 +528,7 @@ pid_t Orchestrator::spawn_child(const PointSpec& point, std::size_t index,
   // A sampled run fast-forwards on default_thread_count() threads; without
   // the share, a full pool would time-slice siblings x hardware threads.
   sim::share_host(siblings);
-  try {
+  finish_child(point.name, [&] {
     if (point.body_ckpt) {
       point.body_ckpt(ckpt_dir).write_file(files.result, -1);
     } else if (point.body) {
@@ -492,24 +536,105 @@ pid_t Orchestrator::spawn_child(const PointSpec& point, std::size_t index,
     } else {
       throw std::runtime_error("point has no body");
     }
-    std::fflush(nullptr);
-    ::_exit(kExitOk);
-  } catch (...) {
-    const ErrorInfo info = classify_current_exception();
-    emit_error_line(point.name, info);
-    std::fflush(nullptr);
-    ::_exit(info.exit_code);
-  }
+  });
 }
 
-PointRecord Orchestrator::conclude_child(const PointSpec& point, std::size_t index,
-                                         int status, bool timed_out,
-                                         bool stop_forwarded) {
-  PointRecord rec;
-  rec.name = point.name;
-  rec.index = static_cast<std::uint32_t>(index);
-  const ChildFiles files = child_files(index);
+bool Orchestrator::run_references(SharedWork& work, const std::vector<std::string>& names,
+                                  std::uint32_t jobs) {
+  const auto start = util::monotonic_now();
+  references_.ran = true;
+  const std::string stem = cfg_.work_dir + "/references";
+  const std::string ckpt_dir = stem + ".ckpt.d";
+  const std::string out_path = stem + ".bin";
+  const std::string stderr_path = stem + ".stderr";
+  std::remove(out_path.c_str());
+  ::mkdir(ckpt_dir.c_str(), 0755);  // EEXIST expected after a kill or stop
+  const auto compute = [&] { work.compute(names, jobs, ckpt_dir, out_path); };
 
+  PointRecord rec;
+  if (!cfg_.isolate) {
+    try {
+      compute();
+      rec.status = "ok";
+    } catch (...) {
+      const ErrorInfo info = classify_current_exception();
+      rec.status = info.exit_code == kExitInterrupted ? "interrupted" : "failed";
+      rec.category = info.category;
+      rec.error = info.what;
+    }
+  } else {
+    const pid_t pid = fork_redirected(stem + ".stdout", stderr_path);
+    if (pid == 0) finish_child("references", compute);
+    int status = 0;
+    bool timed_out = false;
+    bool stop_forwarded = false;
+    const char* failed_call = pid < 0 ? "fork" : nullptr;
+    const auto deadline = start + util::seconds_to_duration(cfg_.timeout_seconds);
+    while (failed_call == nullptr) {
+      // The same contract as a point child: a stop is forwarded as SIGTERM,
+      // and the wall-clock watchdog SIGKILLs a child that overstays.
+      if (!stop_forwarded && cfg_.stop != nullptr && *cfg_.stop != 0) {
+        ::kill(pid, SIGTERM);
+        stop_forwarded = true;
+      }
+      const pid_t r = ::waitpid(pid, &status, WNOHANG);
+      if (r == pid) break;
+      if (r < 0 && errno != EINTR) failed_call = "waitpid";
+      if (r == 0 && cfg_.timeout_seconds > 0.0 && util::monotonic_now() >= deadline) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, &status, 0);
+        timed_out = true;
+        break;
+      }
+      if (r == 0) ::usleep(2000);
+    }
+    if (failed_call != nullptr) {
+      rec.status = "failed";
+      rec.category = "internal";
+      rec.error = std::string(failed_call) + " failed: " + std::strerror(errno);
+    } else {
+      rec = classify_exit(status, timed_out, stop_forwarded, stderr_path);
+    }
+  }
+
+  if (rec.status == "ok") {
+    try {
+      references_.installed = work.install(out_path);
+      remove_tree(ckpt_dir);
+    } catch (const ckpt::SnapshotError& e) {
+      rec.status = "failed";
+      rec.category = "internal";
+      rec.error = e.what();
+    }
+  }
+  references_.wall_ms = ms_since(start);
+  if (rec.status == "interrupted") {
+    if (cfg_.verbose) {
+      std::fprintf(stderr, "[sweep] references: interrupted (state checkpointed)\n");
+    }
+    return false;
+  }
+  if (rec.status != "ok") {
+    references_.fell_back = true;
+    references_.diagnosis = rec.category + ": " + rec.error;
+  }
+  if (cfg_.verbose) {
+    if (references_.fell_back) {
+      std::fprintf(stderr,
+                   "[sweep] references: fell back after %.0f ms (%s); points simulate "
+                   "their own\n",
+                   references_.wall_ms, references_.diagnosis.c_str());
+    } else {
+      std::fprintf(stderr, "[sweep] references: %zu computed for %zu points (%u threads, %.0f ms)\n",
+                   references_.installed, names.size(), jobs, references_.wall_ms);
+    }
+  }
+  return true;
+}
+
+PointRecord Orchestrator::classify_exit(int status, bool timed_out, bool stop_forwarded,
+                                        const std::string& stderr_path) const {
+  PointRecord rec;
   if (timed_out) {
     rec.status = "timeout";
     rec.category = "timeout";
@@ -533,7 +658,7 @@ PointRecord Orchestrator::conclude_child(const PointSpec& point, std::size_t ind
     rec.category = "crash";
     rec.term_signal = sig;
     rec.error = "child killed by signal " + std::to_string(sig);
-    if (const std::string detail = child_error(files.stderr_path); !detail.empty())
+    if (const std::string detail = child_error(stderr_path); !detail.empty())
       rec.error += ": " + detail;
     return rec;
   }
@@ -543,17 +668,30 @@ PointRecord Orchestrator::conclude_child(const PointSpec& point, std::size_t ind
   if (code == kExitInterrupted) {
     rec.status = "interrupted";
     rec.category = exit_category(code);
-    rec.error = child_error(files.stderr_path);
+    rec.error = child_error(stderr_path);
     return rec;
   }
   if (code != kExitOk) {
     rec.status = "failed";
     rec.category = exit_category(code);
-    rec.error = child_error(files.stderr_path);
+    rec.error = child_error(stderr_path);
     if (rec.error.empty())
       rec.error = "child exited with code " + std::to_string(code);
     return rec;
   }
+  rec.status = "ok";
+  rec.category = "ok";
+  return rec;
+}
+
+PointRecord Orchestrator::conclude_child(const PointSpec& point, std::size_t index,
+                                         int status, bool timed_out,
+                                         bool stop_forwarded) {
+  const ChildFiles files = child_files(index);
+  PointRecord rec = classify_exit(status, timed_out, stop_forwarded, files.stderr_path);
+  rec.name = point.name;
+  rec.index = static_cast<std::uint32_t>(index);
+  if (rec.status != "ok") return rec;
 
   if (point.argv.empty()) {
     const int err = util::read_file(files.result, rec.payload);
@@ -576,8 +714,6 @@ PointRecord Orchestrator::conclude_child(const PointSpec& point, std::size_t ind
     payload["stdout_file"] = "point-" + std::to_string(index) + ".stdout";
     rec.payload = payload.dump(-1);
   }
-  rec.status = "ok";
-  rec.category = "ok";
   if (point.body_ckpt) remove_tree(ckpt_dir_for(index));
   return rec;
 }
@@ -650,6 +786,13 @@ util::Json Orchestrator::timing_report() const {
     if (r.wall_ms > 0.0) points[r.name] = r.wall_ms;
   }
   doc["points"] = std::move(points);
+  util::Json refs = util::Json::object();
+  refs["ran"] = references_.ran;
+  refs["installed"] = references_.installed;
+  refs["wall_ms"] = references_.wall_ms;
+  refs["fell_back"] = references_.fell_back;
+  refs["diagnosis"] = references_.diagnosis;
+  doc["references"] = std::move(refs);
   return doc;
 }
 

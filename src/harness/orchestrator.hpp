@@ -17,6 +17,24 @@
 // byte-identical for jobs=1 and jobs=N, across kills and resumes. Wall-clock
 // timing lives in sidecar files (<manifest>.timing.json) and the timing
 // report, never in the manifest or report themselves.
+//
+// The reference phase. Points may share work through a SharedWork hook (a
+// grid's single-core reference simulations, which do not depend on the
+// scheme under evaluation). When a point about to execute — not resumed from
+// the manifest, not served from the result cache, not an exec point — has
+// one, run() first forks one reference child. It runs under the per-point
+// watchdog and gets the SIGTERM fan-out, and does the shared work of every
+// such point on `jobs` threads, checkpointing into work_dir/references.ckpt.d
+// (kept across a kill or stop, removed once the phase succeeds). run() then
+// installs the child's results, so every point child forked afterwards
+// inherits them and simulates only its own work; they are released when
+// run() returns. If the child crashes, times out, exits non-zero, or leaves
+// a file that does not read back, the phase falls back: nothing is
+// installed, each point computes what it needs itself, and every record is
+// the same. A stop during the phase records nothing (the sweep reports
+// "interrupted"). The reference child is not a point: it never appears in
+// the manifest, the report, SweepSummary or the timing report's "points";
+// the timing report's "references" object describes it.
 #pragma once
 
 #include <sys/types.h>
@@ -40,6 +58,29 @@ class ResultCache;
 
 namespace memsched::harness {
 
+/// Work that several points of one sweep share, done once per run() in the
+/// reference phase (see the file comment). One object serves every point
+/// that holds it; a run installs the results of the first one a pending
+/// point holds, and points holding another compute their own.
+class SharedWork {
+ public:
+  virtual ~SharedWork() = default;
+
+  /// In the reference child: does the shared work of the named points on
+  /// `threads` threads and writes the results to `out_path`. Sub-runs
+  /// checkpoint into `ckpt_dir`.
+  virtual void compute(const std::vector<std::string>& points, std::uint32_t threads,
+                       const std::string& ckpt_dir, const std::string& out_path) const = 0;
+
+  /// In run()'s process: makes the results in `path` visible to the point
+  /// bodies and returns how many there are. Throws ckpt::SnapshotError on a
+  /// damaged file.
+  virtual std::size_t install(const std::string& path) = 0;
+
+  /// Drops what install() made visible.
+  virtual void release() = 0;
+};
+
 /// One experiment point. Either an in-process body returning the point's
 /// JSON result (run inside a forked child when isolation is on), or an
 /// external command in `argv` (fork + exec; takes precedence when set).
@@ -60,6 +101,9 @@ struct PointSpec {
   /// builder uses trace length x core count; bench entries carry weights.
   /// 0 = unknown (treated as 1).
   double cost_hint = 0.0;
+
+  /// Optional work this point shares with others (the reference phase).
+  std::shared_ptr<SharedWork> shared;
 };
 
 struct OrchestratorConfig {
@@ -161,9 +205,10 @@ class Orchestrator {
   [[nodiscard]] util::Json report() const;
 
   /// Machine-readable wall-clock record of the last run(): per-point wall
-  /// times, end-to-end wall time, pool width. Deliberately a separate
-  /// document from report() — timing differs run to run, the report must
-  /// not.
+  /// times, end-to-end wall time, pool width, and a "references" object for
+  /// the reference phase (whether it ran, results installed, wall time,
+  /// whether it fell back and why). Deliberately a separate document from
+  /// report() — timing differs run to run, the report must not.
   [[nodiscard]] util::Json timing_report() const;
 
  private:
@@ -174,7 +219,27 @@ class Orchestrator {
     std::string stderr_path;
   };
 
+  /// What the last run()'s reference phase did (timing_report()).
+  struct ReferencePhase {
+    bool ran = false;
+    std::size_t installed = 0;  ///< distinct results the point children inherit
+    double wall_ms = 0.0;
+    bool fell_back = false;
+    std::string diagnosis;  ///< why it fell back: "<category>: <error>"
+  };
+
   SweepSummary run_pool(const std::vector<PointSpec>& points, std::uint32_t jobs);
+
+  /// The reference phase for the named points of `work`; records what it
+  /// did in `references_`. Returns false when a stop interrupted it.
+  bool run_references(SharedWork& work, const std::vector<std::string>& names,
+                      std::uint32_t jobs);
+
+  /// Classifies how a child ended: status "ok" for a clean exit, else the
+  /// timeout, crash, interruption or exit-code diagnosis (error text from
+  /// its stderr file). Name, index and payload are left to the caller.
+  [[nodiscard]] PointRecord classify_exit(int status, bool timed_out, bool stop_forwarded,
+                                          const std::string& stderr_path) const;
 
   /// Runs one attempt of `point` in this process (isolate = false).
   PointRecord run_inline(const PointSpec& point, std::size_t index);
@@ -216,6 +281,7 @@ class Orchestrator {
   util::Backoff retry_backoff_;
   double run_wall_ms_ = 0.0;
   std::uint32_t run_jobs_ = 1;
+  ReferencePhase references_;
 };
 
 }  // namespace memsched::harness

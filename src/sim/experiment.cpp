@@ -1,10 +1,14 @@
 #include "sim/experiment.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <tuple>
 
+#include "ckpt/snapshot.hpp"
 #include "core/scheduler_factory.hpp"
 #include "sched/policies.hpp"
+#include "sim/runner.hpp"
 #include "sim/watchdog.hpp"
 #include "util/assert.hpp"
 #include "util/json.hpp"
@@ -27,9 +31,84 @@ void report_snapshot_fallback(const std::string& context, const ckpt::ResumeInfo
   std::fflush(stderr);
 }
 
+/// Identity of a reference-table file; the keys carry the configuration.
+constexpr const char* kReferenceFile = "memsched-references-v1";
+
+std::atomic<std::uint64_t> g_reference_simulations{0};
+
 }  // namespace
 
-Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)) {}
+const core::MeProfile& ReferenceTable::get(
+    const std::string& key, const std::function<core::MeProfile()>& simulate) {
+  std::unique_lock lock(mu_);
+  for (;;) {
+    if (const auto it = done_.find(key); it != done_.end()) return it->second;
+    if (in_flight_.insert(key).second) break;  // this thread simulates it
+    landed_.wait(lock);
+  }
+  lock.unlock();
+  core::MeProfile result;
+  try {
+    g_reference_simulations.fetch_add(1, std::memory_order_relaxed);
+    result = simulate();
+  } catch (...) {
+    lock.lock();
+    in_flight_.erase(key);
+    landed_.notify_all();  // a waiter takes the key over
+    throw;
+  }
+  lock.lock();
+  in_flight_.erase(key);
+  const core::MeProfile& entry = done_.emplace(key, std::move(result)).first->second;
+  landed_.notify_all();
+  return entry;
+}
+
+std::size_t ReferenceTable::size() const {
+  std::lock_guard lock(mu_);
+  return done_.size();
+}
+
+void ReferenceTable::save(const std::string& path) const {
+  ckpt::Writer w;
+  w.begin_section("references");
+  std::lock_guard lock(mu_);
+  w.put_u64(done_.size());
+  for (const auto& [key, p] : done_) {
+    w.put_str(key);
+    w.put_str(p.app_name);
+    w.put_f64(p.ipc_single);
+    w.put_f64(p.bandwidth_gbs);
+  }
+  w.save(path, kReferenceFile);
+}
+
+std::size_t ReferenceTable::load(const std::string& path) {
+  ckpt::Reader r(path, kReferenceFile);
+  r.open_section("references");
+  const std::uint64_t n = r.get_u64();
+  std::map<std::string, core::MeProfile> read;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::string key = r.get_str();
+    std::string app = r.get_str();
+    const double ipc = r.get_f64();
+    const double bw = r.get_f64();
+    read.emplace(std::move(key), core::MeProfile::from_measurement(std::move(app), ipc, bw));
+  }
+  r.close_section();
+  std::lock_guard lock(mu_);
+  done_.merge(read);
+  return static_cast<std::size_t>(n);
+}
+
+std::uint64_t ReferenceTable::simulations() {
+  return g_reference_simulations.load(std::memory_order_relaxed);
+}
+
+Experiment::Experiment(ExperimentConfig cfg, std::shared_ptr<ReferenceTable> refs)
+    : cfg_(std::move(cfg)),
+      single_core_fp_(config_for(1).fingerprint()),
+      refs_(refs != nullptr ? std::move(refs) : std::make_shared<ReferenceTable>()) {}
 
 ckpt::CheckpointPolicy Experiment::policy_for(const std::string& context,
                                               ckpt::ResumeInfo* info) const {
@@ -55,51 +134,78 @@ SystemConfig Experiment::config_for(std::uint32_t cores) const {
   return sc;
 }
 
-const core::MeProfile& Experiment::profile(const std::string& app_name) {
-  std::lock_guard lock(mu_);
-  if (const auto it = profiles_.find(app_name); it != profiles_.end())
-    return it->second;
-
-  const trace::AppProfile& app = trace::spec2000_by_name(app_name);
-  sched::HitFirstReadFirstScheduler sched;
-  MultiCoreSystem sys(config_for(1), {app}, sched, cfg_.profile_seed);
-  const std::string ctx = "profile-" + app_name;
-  ckpt::ResumeInfo info;
-  const RunResult r =
-      sys.run(cfg_.profile_insts, cfg_.warmup_insts, cfg_.max_ticks, policy_for(ctx, &info));
-  report_snapshot_fallback(ctx, info);
-  if (r.hit_tick_limit) {
-    throw CycleBudgetError("profiling run for '" + app_name + "' hit the " +
-                               std::to_string(cfg_.max_ticks) + "-tick budget",
-                           cfg_.max_ticks);
-  }
-  auto [it, _] = profiles_.emplace(
-      app_name,
-      core::MeProfile::from_measurement(app_name, r.cores[0].ipc, r.bandwidth_gbs));
-  return it->second;
+std::uint64_t Experiment::slice_seed(std::uint32_t rep) const {
+  return cfg_.eval_seed + rep * 0x9e3779b9ULL;
 }
 
-double Experiment::single_ipc(const std::string& app_name, std::uint64_t seed) {
-  std::lock_guard lock(mu_);
-  const auto key = std::make_pair(app_name, seed);
-  if (const auto it = single_ipc_.find(key); it != single_ipc_.end())
-    return it->second;
+std::string Experiment::reference_key(const char* kind, const std::string& app_name,
+                                      std::uint64_t seed, std::uint64_t insts) const {
+  return std::string(kind) + "|" + single_core_fp_ + "|" + app_name + "|" +
+         std::to_string(seed) + "|" + std::to_string(insts) + "|" +
+         std::to_string(cfg_.warmup_insts) + "|" + std::to_string(cfg_.max_ticks);
+}
 
+core::MeProfile Experiment::simulate_reference(const std::string& app_name,
+                                               std::uint64_t seed, std::uint64_t insts,
+                                               const std::string& context,
+                                               const std::string& what) const {
   const trace::AppProfile& app = trace::spec2000_by_name(app_name);
   sched::HitFirstReadFirstScheduler sched;
   MultiCoreSystem sys(config_for(1), {app}, sched, seed);
-  const std::string ctx = "single-" + app_name + "-" + std::to_string(seed);
   ckpt::ResumeInfo info;
-  const RunResult r =
-      sys.run(cfg_.eval_insts, cfg_.warmup_insts, cfg_.max_ticks, policy_for(ctx, &info));
-  report_snapshot_fallback(ctx, info);
+  const RunResult r = sys.run(insts, cfg_.warmup_insts, cfg_.max_ticks, policy_for(context, &info));
+  report_snapshot_fallback(context, info);
   if (r.hit_tick_limit) {
-    throw CycleBudgetError("single-core reference for '" + app_name + "' hit the " +
-                               std::to_string(cfg_.max_ticks) + "-tick budget",
+    throw CycleBudgetError(what + " hit the " + std::to_string(cfg_.max_ticks) +
+                               "-tick budget",
                            cfg_.max_ticks);
   }
-  single_ipc_[key] = r.cores[0].ipc;
-  return single_ipc_[key];
+  return core::MeProfile::from_measurement(app_name, r.cores[0].ipc, r.bandwidth_gbs);
+}
+
+const core::MeProfile& Experiment::profile(const std::string& app_name) {
+  return refs_->get(reference_key("profile", app_name, cfg_.profile_seed, cfg_.profile_insts),
+                    [&] {
+                      return simulate_reference(app_name, cfg_.profile_seed,
+                                                cfg_.profile_insts, "profile-" + app_name,
+                                                "profiling run for '" + app_name + "'");
+                    });
+}
+
+double Experiment::single_ipc(const std::string& app_name, std::uint64_t seed) {
+  return refs_
+      ->get(reference_key("alone", app_name, seed, cfg_.eval_insts),
+            [&] {
+              return simulate_reference(
+                  app_name, seed, cfg_.eval_insts,
+                  "single-" + app_name + "-" + std::to_string(seed),
+                  "single-core reference for '" + app_name + "'");
+            })
+      .ipc_single;
+}
+
+void Experiment::compute_references(const std::vector<Workload>& workloads,
+                                    unsigned threads) {
+  // (instructions, app, seed, is_profile): one task per distinct reference.
+  std::set<std::tuple<std::uint64_t, std::string, std::uint64_t, bool>> distinct;
+  const std::uint32_t repeats = std::max(1u, cfg_.eval_repeats);
+  for (const Workload& w : workloads) {
+    for (const trace::AppProfile& app : w.apps()) {
+      distinct.emplace(cfg_.profile_insts, app.name, cfg_.profile_seed, true);
+      for (std::uint32_t rep = 0; rep < repeats; ++rep)
+        distinct.emplace(cfg_.eval_insts, app.name, slice_seed(rep), false);
+    }
+  }
+  // Longest first, so the last task to start is a short one.
+  const std::vector tasks(distinct.rbegin(), distinct.rend());
+  parallel_for(tasks.size(), threads, [&](std::size_t i) {
+    const auto& [insts, app, seed, is_profile] = tasks[i];
+    if (is_profile) {
+      profile(app);
+    } else {
+      single_ipc(app, seed);
+    }
+  });
 }
 
 core::MeTable Experiment::me_table_for(const Workload& w) {
@@ -133,7 +239,7 @@ WorkloadRun Experiment::run(const Workload& w, const std::string& scheme_name) {
   out.core_read_latency_cpu.assign(n, 0.0);
 
   for (std::uint32_t rep = 0; rep < repeats; ++rep) {
-    const std::uint64_t seed = cfg_.eval_seed + rep * 0x9e3779b9ULL;
+    const std::uint64_t seed = slice_seed(rep);
     // A fresh scheduler per slice: stateful schemes (RR token, online ME)
     // must not carry state across independent slices.
     sched::SchedulerPtr scheduler = core::make_scheduler(scheme_name, args);

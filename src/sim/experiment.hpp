@@ -10,9 +10,13 @@
 // to compute SMT speedup and unfairness.
 #pragma once
 
+#include <condition_variable>
 #include <csignal>
+#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -77,11 +81,47 @@ struct WorkloadRun {
   RunResult raw;  ///< full detail of the last slice
 };
 
+/// Single-core reference results: the profiling runs of Eq. 1 and the alone
+/// runs of §4.1, keyed on everything that affects them (Experiment builds
+/// the keys). One table may serve many Experiments and threads. Each key is
+/// simulated at most once: a thread asking for a key in flight waits for
+/// it, threads asking for other keys do not wait, and no lock is held
+/// across a simulation. Entries are never erased, so references into the
+/// table stay valid for its lifetime.
+class ReferenceTable {
+ public:
+  /// The entry for `key`; calls `simulate` when it is absent. A throwing
+  /// `simulate` leaves the key absent and its exception propagates.
+  const core::MeProfile& get(const std::string& key,
+                             const std::function<core::MeProfile()>& simulate);
+
+  [[nodiscard]] std::size_t size() const;
+
+  /// Writes every entry to `path` in the checkpoint format; IPC and
+  /// bandwidth keep their exact bit patterns.
+  void save(const std::string& path) const;
+
+  /// Adds the entries of a file save() wrote and returns how many it read.
+  /// Throws ckpt::SnapshotError on a damaged or foreign file.
+  std::size_t load(const std::string& path);
+
+  /// Reference simulations this process has run through any table.
+  [[nodiscard]] static std::uint64_t simulations();
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable landed_;
+  std::map<std::string, core::MeProfile> done_;
+  std::set<std::string> in_flight_;
+};
+
 class Experiment {
  public:
-  explicit Experiment(ExperimentConfig cfg);
+  /// `refs` is the reference table to read and fill; by default the
+  /// Experiment gets a table of its own.
+  explicit Experiment(ExperimentConfig cfg, std::shared_ptr<ReferenceTable> refs = nullptr);
 
-  /// Profiled ME for one application (cached across calls).
+  /// Profiled ME for one application (cached in the reference table).
   const core::MeProfile& profile(const std::string& app_name);
 
   /// Single-core IPC reference for one evaluation slice seed (cached).
@@ -96,6 +136,11 @@ class Experiment {
   /// Full evaluation of `w` under scheme `scheme_name` (factory names).
   WorkloadRun run(const Workload& w, const std::string& scheme_name);
 
+  /// Simulates every reference that run() of `workloads` needs and the
+  /// table lacks, one parallel_for task per distinct reference, longest
+  /// first, on `threads` threads. The first failure propagates.
+  void compute_references(const std::vector<Workload>& workloads, unsigned threads);
+
   /// System configuration with the core count overridden.
   [[nodiscard]] SystemConfig config_for(std::uint32_t cores) const;
 
@@ -109,10 +154,24 @@ class Experiment {
   [[nodiscard]] ckpt::CheckpointPolicy policy_for(const std::string& context,
                                                   ckpt::ResumeInfo* info) const;
 
+  /// Evaluation slice `rep`'s seed; its alone runs use the same one.
+  [[nodiscard]] std::uint64_t slice_seed(std::uint32_t rep) const;
+
+  /// Table key of one reference run: kind, the 1-core fingerprint, app,
+  /// seed, instruction count, warm-up and tick budget.
+  [[nodiscard]] std::string reference_key(const char* kind, const std::string& app_name,
+                                          std::uint64_t seed, std::uint64_t insts) const;
+
+  /// One single-core HF-RF reference run, checkpointed as `context`; `what`
+  /// names it in a budget error.
+  [[nodiscard]] core::MeProfile simulate_reference(const std::string& app_name,
+                                                   std::uint64_t seed, std::uint64_t insts,
+                                                   const std::string& context,
+                                                   const std::string& what) const;
+
   ExperimentConfig cfg_;
-  std::mutex mu_;
-  std::map<std::string, core::MeProfile> profiles_;
-  std::map<std::pair<std::string, std::uint64_t>, double> single_ipc_;
+  std::string single_core_fp_;  ///< config_for(1).fingerprint()
+  std::shared_ptr<ReferenceTable> refs_;
 };
 
 }  // namespace memsched::sim

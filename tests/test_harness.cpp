@@ -1060,3 +1060,255 @@ TEST(GridSweep, BudgetFailuresArePinned) {
   EXPECT_EQ(r.summary.failed, 4u);
   EXPECT_EQ(golden::fnv1a_str(r.report), kPinnedBudgetReport) << r.report;
 }
+
+// ---------------------------------------------------------------------------
+// The reference phase: Orchestrator::run simulates each distinct single-core
+// reference once per run, in one child, before the points fork.
+
+namespace {
+
+// The pinned grid needs 4 apps x (1 profiling + 2 alone runs) = 12 shared
+// references (2MEM-1's two apps are among 4MIX-1's four). Its fault-injected
+// point 2MEM-1/TCM keys its 2 x 3 apart and simulates them itself.
+constexpr std::uint64_t kSharedReferences = 12;
+constexpr std::uint64_t kChaosReferences = 6;
+
+/// Adds to each grid point's payload how many reference simulations the
+/// point ran itself.
+std::vector<harness::PointSpec> counting(std::vector<harness::PointSpec> points) {
+  for (harness::PointSpec& p : points) {
+    EXPECT_TRUE(p.body_ckpt) << "expected a checkpointing grid";
+    p.body_ckpt = [body = p.body_ckpt](const std::string& dir) {
+      const std::uint64_t before = sim::ReferenceTable::simulations();
+      util::Json j = body(dir);
+      j["own_references"] = sim::ReferenceTable::simulations() - before;
+      return j;
+    };
+  }
+  return points;
+}
+
+/// Stands in for a grid's shared state with a reference child that fails
+/// the given way; install() and release() go to the real state.
+class BrokenShare final : public harness::SharedWork {
+ public:
+  enum class Mode { kCrash, kHang, kThrow, kGarbage };
+  BrokenShare(std::shared_ptr<harness::SharedWork> inner, Mode mode)
+      : inner_(std::move(inner)), mode_(mode) {}
+
+  void compute(const std::vector<std::string>&, std::uint32_t, const std::string&,
+               const std::string& out_path) const override {
+    switch (mode_) {
+      case Mode::kCrash:
+        std::abort();
+      case Mode::kHang:
+        for (;;) ::pause();
+      case Mode::kThrow:
+        throw std::invalid_argument("no references today");
+      case Mode::kGarbage:
+        std::ofstream(out_path) << "not a reference table";
+        return;
+    }
+  }
+  std::size_t install(const std::string& path) override { return inner_->install(path); }
+  void release() override { inner_->release(); }
+
+ private:
+  std::shared_ptr<harness::SharedWork> inner_;
+  Mode mode_;
+};
+
+std::vector<harness::PointSpec> with_share(std::vector<harness::PointSpec> points,
+                                           BrokenShare::Mode mode) {
+  const auto broken = std::make_shared<BrokenShare>(points.at(0).shared, mode);
+  for (harness::PointSpec& p : points) p.shared = broken;
+  return points;
+}
+
+}  // namespace
+
+TEST(GridSweep, EachReferenceSimulatedOncePerRun) {
+  const harness::GridSpec spec = pinned_grid();
+  const std::vector<harness::PointSpec> points = counting(harness::grid_points(spec));
+  for (const auto& [jobs, isolate] : {std::pair{1u, true}, {3u, true}, {1u, false}}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs) + " isolate=" + std::to_string(isolate));
+    const std::uint64_t before = sim::ReferenceTable::simulations();
+    const GridRun r = run_grid(spec, points, "once", jobs, isolate);
+    ASSERT_TRUE(r.summary.complete());
+    const util::Json& refs = r.timing.at("references");
+    EXPECT_TRUE(refs.at("ran").as_bool());
+    EXPECT_FALSE(refs.at("fell_back").as_bool()) << refs.at("diagnosis").as_string();
+    EXPECT_EQ(refs.at("installed").as_uint(), kSharedReferences);
+    const util::Json report = util::Json::parse(r.report);
+    for (const util::Json& p : report.at("points").elements()) {
+      const bool chaos = p.at("name").as_string() == "2MEM-1/TCM";
+      EXPECT_EQ(p.at("result").at("own_references").as_uint(),
+                chaos ? kChaosReferences : 0u)
+          << p.at("name").as_string();
+    }
+    // Isolated, both the phase and the points ran in children; in-process,
+    // everything ran here.
+    EXPECT_EQ(sim::ReferenceTable::simulations() - before,
+              isolate ? 0u : kSharedReferences + kChaosReferences);
+  }
+}
+
+TEST(GridSweep, SameBytesAtEveryWidthAndInProcess) {
+  const harness::GridSpec spec = pinned_grid();
+  const std::vector<harness::PointSpec> points = harness::grid_points(spec);
+  const GridRun serial = run_grid(spec, points, "width", 1);
+  EXPECT_EQ(golden::fnv1a_str(serial.report), kPinnedGridReport);
+  for (const auto& [jobs, isolate] : {std::pair{4u, true}, {1u, false}}) {
+    const GridRun r = run_grid(spec, points, "width", jobs, isolate);
+    EXPECT_EQ(r.report, serial.report) << "jobs=" << jobs << " isolate=" << isolate;
+    EXPECT_EQ(r.manifest, serial.manifest) << "jobs=" << jobs << " isolate=" << isolate;
+  }
+  const harness::GridSpec sampled = pinned_sampled_grid();
+  EXPECT_EQ(golden::fnv1a_str(
+                run_grid(sampled, harness::grid_points(sampled), "width_sampled", 1).report),
+            kPinnedSampledReport);
+  const harness::GridSpec budget = budget_grid();
+  EXPECT_EQ(
+      golden::fnv1a_str(run_grid(budget, harness::grid_points(budget), "width_budget", 1).report),
+      kPinnedBudgetReport);
+}
+
+TEST(GridSweep, SecondColdRunRecomputesReferences) {
+  // The table lives for one run(): nothing is remembered across runs of the
+  // same points, in any process.
+  const harness::GridSpec spec = pinned_grid();
+  const std::vector<harness::PointSpec> points = harness::grid_points(spec);
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::uint64_t before = sim::ReferenceTable::simulations();
+    const GridRun r = run_grid(spec, points, "recompute", 1, /*isolate=*/false);
+    EXPECT_EQ(golden::fnv1a_str(r.report), kPinnedGridReport) << "pass " << pass;
+    EXPECT_EQ(sim::ReferenceTable::simulations() - before,
+              kSharedReferences + kChaosReferences)
+        << "pass " << pass;
+  }
+}
+
+TEST(GridSweep, WarmResumedAndExecRunsForkNoReferenceChild) {
+  const harness::GridSpec spec = pinned_grid();
+  const std::vector<harness::PointSpec> points = harness::grid_points(spec);
+  const auto phase_ran = [](const GridRun& r) {
+    return r.timing.at("references").at("ran").as_bool();
+  };
+
+  // Resumed: every point is already ok in the manifest.
+  ASSERT_TRUE(phase_ran(run_grid(spec, points, "no_phase", 2)));
+  const GridRun resumed = run_grid(spec, points, "no_phase", 2, true, /*fresh=*/false);
+  EXPECT_EQ(resumed.summary.resumed, points.size());
+  EXPECT_FALSE(phase_ran(resumed));
+  EXPECT_EQ(golden::fnv1a_str(resumed.report), kPinnedGridReport);
+
+  // Warm: every point is served from the result cache.
+  const std::string cache_dir = tmp_path("no_phase_cache");
+  std::filesystem::remove_all(cache_dir);
+  for (const bool warm : {false, true}) {
+    harness::OrchestratorConfig oc = quick_config(warm ? "warm" : "cold");
+    std::filesystem::remove_all(oc.work_dir);
+    oc.fingerprint = harness::fingerprint(spec);
+    oc.cache_dir = cache_dir;
+    oc.jobs = 2;
+    harness::Orchestrator orch(oc);
+    const harness::SweepSummary s = orch.run(points);
+    EXPECT_EQ(s.cache_hits, warm ? points.size() : 0u);
+    EXPECT_EQ(orch.timing_report().at("references").at("ran").as_bool(), !warm);
+    EXPECT_EQ(golden::fnv1a_str(orch.report().dump(2)), kPinnedGridReport);
+  }
+
+  // Exec points never share work, even when handed a hook.
+  harness::PointSpec exec;
+  exec.name = "exec";
+  exec.argv = {"/bin/sh", "-c", "exit 0"};
+  exec.shared = points[0].shared;
+  harness::Orchestrator orch(quick_config("no_phase_exec"));
+  EXPECT_TRUE(orch.run({exec}).complete());
+  EXPECT_FALSE(orch.timing_report().at("references").at("ran").as_bool());
+}
+
+TEST(GridSweep, FailedReferenceChildFallsBackToSameRecords) {
+  const harness::GridSpec spec = pinned_grid();
+  const std::vector<harness::PointSpec> points = harness::grid_points(spec);
+  using Mode = BrokenShare::Mode;
+  for (const auto& [mode, category] :
+       {std::pair{Mode::kCrash, "crash: child killed by signal 6"},
+        {Mode::kThrow, "usage: "},
+        {Mode::kGarbage, "internal: "}}) {
+    const GridRun r = run_grid(spec, with_share(points, mode), "fallback", 2);
+    EXPECT_EQ(golden::fnv1a_str(r.report), kPinnedGridReport) << category;
+    const util::Json& refs = r.timing.at("references");
+    EXPECT_TRUE(refs.at("fell_back").as_bool()) << category;
+    EXPECT_EQ(refs.at("installed").as_uint(), 0u);
+    EXPECT_EQ(refs.at("diagnosis").as_string().rfind(category, 0), 0u)
+        << refs.at("diagnosis").as_string();
+  }
+
+  // A hung reference child meets the per-point watchdog. Small grid: the
+  // points must finish well within the same watchdog.
+  const harness::GridSpec small =
+      grid_of({"workloads=2MEM-1", "schemes=HF-RF", "insts=5000", "profile_insts=10000",
+               "warmup=5000", "repeats=1", "verify=0"});
+  const std::vector<harness::PointSpec> small_points = harness::grid_points(small);
+  const GridRun expected = run_grid(small, small_points, "fallback_hang_ref", 1);
+  harness::OrchestratorConfig oc = quick_config("fallback_hang");
+  std::filesystem::remove_all(oc.work_dir);
+  oc.fingerprint = harness::fingerprint(small);
+  oc.timeout_seconds = 3.0;
+  harness::Orchestrator orch(oc);
+  EXPECT_TRUE(orch.run(with_share(small_points, Mode::kHang)).complete());
+  EXPECT_EQ(orch.report().dump(2), expected.report);
+  const util::Json timing = orch.timing_report();
+  EXPECT_EQ(timing.at("references").at("diagnosis").as_string().rfind("timeout: ", 0), 0u);
+}
+
+TEST(GridSweep, StopDuringReferencePhaseRecordsNothing) {
+  const harness::GridSpec spec = pinned_grid();
+  const std::vector<harness::PointSpec> points = harness::grid_points(spec);
+  harness::OrchestratorConfig oc = quick_config("stop_refs");
+  oc.manifest_path = tmp_path("stop_refs.manifest");
+  std::remove(oc.manifest_path.c_str());
+  std::remove((oc.manifest_path + ".timing.json").c_str());
+  std::filesystem::remove_all(oc.work_dir);
+  oc.fingerprint = harness::fingerprint(spec);
+  oc.jobs = 2;
+  volatile std::sig_atomic_t stop = 1;  // already set: lands during the phase
+  oc.stop = &stop;
+  {
+    harness::Orchestrator orch(oc);
+    const harness::SweepSummary s = orch.run(points);
+    EXPECT_TRUE(s.interrupted);
+    EXPECT_EQ(s.ok + s.failed, 0u);
+    EXPECT_EQ(orch.manifest().size(), 0u);
+    EXPECT_TRUE(orch.timing_report().at("references").at("ran").as_bool());
+  }
+  stop = 0;
+  harness::Orchestrator resumed(oc);
+  EXPECT_TRUE(resumed.run(points).complete());
+  EXPECT_EQ(golden::fnv1a_str(resumed.report().dump(2)), kPinnedGridReport);
+}
+
+TEST(GridSweep, TimingReportDescribesReferencePhase) {
+  const harness::GridSpec spec = pinned_grid();
+  const std::vector<harness::PointSpec> points = harness::grid_points(spec);
+  const GridRun r = run_grid(spec, points, "timing_refs", 2);
+  const util::Json& refs = r.timing.at("references");
+  EXPECT_TRUE(refs.at("ran").as_bool());
+  EXPECT_EQ(refs.at("installed").as_uint(), kSharedReferences);
+  EXPECT_GT(refs.at("wall_ms").as_number(), 0.0);
+  EXPECT_FALSE(refs.at("fell_back").as_bool());
+  EXPECT_EQ(refs.at("diagnosis").as_string(), "");
+  // The reference child is not a point.
+  ASSERT_EQ(r.timing.at("points").members().size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i)
+    EXPECT_EQ(r.timing.at("points").members()[i].first, points[i].name);
+
+  // The first failing reference ends the phase; the diagnosis names it.
+  const harness::GridSpec budget = budget_grid();
+  const GridRun b = run_grid(budget, harness::grid_points(budget), "timing_budget", 2);
+  const util::Json& brefs = b.timing.at("references");
+  EXPECT_TRUE(brefs.at("fell_back").as_bool());
+  EXPECT_NE(brefs.at("diagnosis").as_string().find("tick budget"), std::string::npos)
+      << brefs.at("diagnosis").as_string();
+}

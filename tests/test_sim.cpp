@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -455,6 +457,54 @@ TEST(Experiment, MeTableMatchesWorkloadOrder) {
   EXPECT_DOUBLE_EQ(t.me(1), exp.profile("wupwise").memory_efficiency);
   // gzip is far more memory-efficient than wupwise.
   EXPECT_GT(t.me(0), t.me(1));
+}
+
+TEST(Experiment, ConcurrentReferencesMatchSerialBits) {
+  // Four threads ask for overlapping apps and seeds of one table: each key
+  // is simulated once, and every result has the bits of a serial run.
+  ExperimentConfig cfg;
+  cfg.profile_insts = 20'000;
+  cfg.eval_insts = 10'000;
+  cfg.warmup_insts = 5'000;
+  const std::vector<std::string> apps = {"gzip", "swim", "mcf", "gzip",
+                                         "swim", "gzip", "art", "mcf"};
+  const std::vector<std::uint64_t> seeds = {cfg.eval_seed, cfg.eval_seed + 7};
+  struct Bits {
+    std::uint64_t me, alone;
+  };
+  const auto bits_of = [&](Experiment& exp, std::size_t i) {
+    const std::string& app = apps[i / seeds.size()];
+    return Bits{std::bit_cast<std::uint64_t>(exp.profile(app).memory_efficiency),
+                std::bit_cast<std::uint64_t>(exp.single_ipc(app, seeds[i % seeds.size()]))};
+  };
+  const std::size_t n = apps.size() * seeds.size();
+
+  Experiment serial(cfg);
+  std::vector<Bits> expected(n);
+  for (std::size_t i = 0; i < n; ++i) expected[i] = bits_of(serial, i);
+
+  const std::uint64_t before = ReferenceTable::simulations();
+  Experiment concurrent(cfg);
+  std::vector<Bits> got(n);
+  parallel_for(n, 4, [&](std::size_t i) { got[i] = bits_of(concurrent, i); });
+  // 4 distinct apps: 4 profiling runs and 4 x 2 alone runs.
+  EXPECT_EQ(ReferenceTable::simulations() - before, 12u);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(got[i].me, expected[i].me) << i;
+    EXPECT_EQ(got[i].alone, expected[i].alone) << i;
+  }
+
+  // compute_references fills a shared table with the same bits.
+  const auto refs = std::make_shared<ReferenceTable>();
+  cfg.eval_repeats = 1;
+  Experiment(cfg, refs).compute_references({workload_by_name("2MEM-1")}, 4);
+  EXPECT_EQ(refs->size(), 4u);  // wupwise and swim: profiling + one alone run
+  Experiment reader(cfg, refs);
+  const std::uint64_t settled = ReferenceTable::simulations();
+  const Bits& swim = expected[1 * seeds.size()];  // apps[1] at seeds[0]
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reader.profile("swim").memory_efficiency), swim.me);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reader.single_ipc("swim")), swim.alone);
+  EXPECT_EQ(ReferenceTable::simulations(), settled);
 }
 
 TEST(Experiment, RunProducesSaneAggregates) {
