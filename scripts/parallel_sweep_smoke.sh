@@ -16,6 +16,11 @@
 #   3. Graceful stop, at jobs=4 and at jobs=1: SIGTERM to the sweep fans out
 #      to every live worker, each parks its state, the sweep exits with the
 #      "interrupted" contract code (6), and the resume is byte-identical.
+#   4. The reference phase (one child that simulates every distinct
+#      single-core reference before the points fork): SIGTERM during it
+#      exits 6 with no report and nothing recorded; SIGKILL of the sweep and
+#      that child leaves its snapshots, which the next invocation resumes
+#      from. Both resumed reports are byte-identical.
 #
 # Usage: scripts/parallel_sweep_smoke.sh [build-dir]   (default: build)
 set -eu
@@ -112,5 +117,70 @@ for JOBS in 4 1; do
         exit 1; }
   echo "  graceful stop honored at jobs=$JOBS; resumed report byte-identical"
 done
+
+# Waits up to 30 s for a snapshot of the reference phase of manifest $1.
+wait_for_reference_snapshot() {
+  i=0
+  until ls "$1".work/references.ckpt.d/*.ckpt > /dev/null 2>&1; do
+    [ $i -lt 600 ] ||
+        { echo "parallel_sweep_smoke: no reference snapshot within 30s" >&2
+          exit 1; }
+    sleep 0.05
+    i=$((i + 1))
+  done
+}
+
+echo "== pool 4: SIGTERM during the reference phase, exit 6, resume -> byte-identical =="
+REF_M="$WORK/refterm.m"
+"$SWEEP" grid $KGRID jobs=4 manifest="$REF_M" report="$WORK/refterm.r" \
+    > /dev/null 2>&1 &
+PID=$!
+wait_for_reference_snapshot "$REF_M"
+kill -TERM "$PID" 2> /dev/null || true
+RC=0
+wait "$PID" || RC=$?
+[ "$RC" -eq 6 ] ||
+    { echo "parallel_sweep_smoke: expected exit 6 from a stop in the reference" \
+           "phase, got $RC" >&2
+      exit 1; }
+[ ! -f "$WORK/refterm.r" ] ||
+    { echo "parallel_sweep_smoke: interrupted sweep wrote a report" >&2; exit 1; }
+if grep -q '"name"' "$REF_M" 2> /dev/null; then
+  echo "parallel_sweep_smoke: a stop in the reference phase recorded a point" >&2
+  exit 1
+fi
+"$SWEEP" grid $KGRID jobs=4 manifest="$REF_M" report="$WORK/refterm.r" > /dev/null
+cmp "$WORK/kref.r" "$WORK/refterm.r" ||
+    { echo "parallel_sweep_smoke: report resumed after a reference-phase stop" \
+           "differs" >&2
+      exit 1; }
+echo "  stop in the reference phase: exit 6, nothing recorded; resume byte-identical"
+
+echo "== pool 4 (SIGKILL): the reference snapshots survive and the resume uses them =="
+REF_M="$WORK/refkill.m"
+"$SWEEP" grid $KGRID jobs=1 manifest="$REF_M" report="$WORK/refkill.r" \
+    > /dev/null 2>&1 &
+PID=$!
+wait_for_reference_snapshot "$REF_M"
+CHILD="$(pgrep -P "$PID" 2> /dev/null || true)"
+kill -KILL "$PID" 2> /dev/null || true
+[ -z "$CHILD" ] || kill -KILL $CHILD 2> /dev/null || true
+wait "$PID" 2> /dev/null || true
+ls "$REF_M".work/references.ckpt.d/*.ckpt > /dev/null 2>&1 ||
+    { echo "parallel_sweep_smoke: reference snapshots did not survive SIGKILL" >&2
+      exit 1; }
+"$SWEEP" grid $KGRID jobs=1 manifest="$REF_M" report="$WORK/refkill.r" > /dev/null
+cmp "$WORK/kref.r" "$WORK/refkill.r" ||
+    { echo "parallel_sweep_smoke: report resumed after a reference-phase kill" \
+           "differs" >&2
+      exit 1; }
+if grep -q snapshot_fallback "$REF_M".work/references.stderr; then
+  echo "parallel_sweep_smoke: the resumed reference phase rejected a snapshot" >&2
+  exit 1
+fi
+[ ! -d "$REF_M".work/references.ckpt.d ] ||
+    { echo "parallel_sweep_smoke: reference snapshots outlived the phase" >&2
+      exit 1; }
+echo "  killed reference phase resumed from its snapshots; report byte-identical"
 
 echo "PARALLEL SWEEP SMOKE PASSED"

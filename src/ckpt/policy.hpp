@@ -39,6 +39,10 @@ struct CheckpointPolicy {
   /// fall back to a fresh run, reported via `resume_info`).
   bool resume = true;
 
+  /// Also save when the warm-up ends and measurement begins, so a run
+  /// shorter than one interval still has a mid-run snapshot to resume from.
+  bool save_at_measurement = false;
+
   /// Test hooks. `stop_at_tick` acts as if the stop flag fired at that tick;
   /// with `save_on_stop=false` the run aborts WITHOUT saving, emulating
   /// SIGKILL (resume must then come from an older periodic snapshot).

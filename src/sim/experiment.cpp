@@ -249,8 +249,11 @@ WorkloadRun Experiment::run(const Workload& w, const std::string& scheme_name) {
     const std::string ctx =
         "eval-" + w.name + "-" + scheme_name + "-rep" + std::to_string(rep);
     ckpt::ResumeInfo info;
-    RunResult r =
-        sys.run(cfg_.eval_insts, cfg_.warmup_insts, cfg_.max_ticks, policy_for(ctx, &info));
+    ckpt::CheckpointPolicy policy = policy_for(ctx, &info);
+    // A slice is what a point re-runs after a kill: give it a snapshot to
+    // resume from even when it is shorter than one interval.
+    policy.save_at_measurement = true;
+    RunResult r = sys.run(cfg_.eval_insts, cfg_.warmup_insts, cfg_.max_ticks, policy);
     report_snapshot_fallback(ctx, info);
     if (r.hit_tick_limit) {
       throw CycleBudgetError("evaluation run " + w.name + "/" + scheme_name +

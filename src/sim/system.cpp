@@ -400,6 +400,8 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
   if (policy.enabled() && policy.interval_ticks != 0) {
     next_ckpt = (loop.t / policy.interval_ticks + 1) * policy.interval_ticks;
   }
+  // A run restored past its warm-up has its measurement snapshot already.
+  bool measurement_saved = !policy.save_at_measurement || loop.measuring;
   auto checkpoint = [&] {
     if (!policy.enabled()) return;
     const Tick t = loop.t;
@@ -411,7 +413,10 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
     if (t >= next_ckpt) {
       save_snapshot();
       next_ckpt = (t / policy.interval_ticks + 1) * policy.interval_ticks;
+    } else if (!measurement_saved && loop.measuring) {
+      save_snapshot();
     }
+    measurement_saved = measurement_saved || loop.measuring;
   };
 
   if (!loop.finished) {

@@ -560,6 +560,35 @@ TEST(Ckpt, GracefulStopSavesAndResumes) {
   EXPECT_TRUE(info.resumed) << info.error;
 }
 
+TEST(Ckpt, MeasurementSnapshotServesARunShorterThanOneInterval) {
+  // No periodic snapshot falls inside the run; the one taken when warm-up
+  // ends is what a SIGKILLed run resumes from.
+  const sim::Workload w = sim::workload_by_name("2MEM-1");
+  const sim::SystemConfig cfg = base_config(sim::Engine::kSkip, w.cores(), false);
+  const std::string baseline = run_once(cfg, w, "HF-RF");
+
+  const std::string path = tmp_path("measurement.ckpt");
+  for (const bool at_measurement : {false, true}) {
+    std::remove(path.c_str());
+    ckpt::CheckpointPolicy p;
+    p.path = path;
+    p.interval_ticks = 1'000'000;
+    p.save_at_measurement = at_measurement;
+    p.save_on_stop = false;  // die like SIGKILL: no parting snapshot
+    p.stop_at_tick = 1'777;  // mid-measurement: the full run spans ~2.2k ticks
+    EXPECT_THROW(run_once(cfg, w, "HF-RF", p), ckpt::CheckpointStop);
+    EXPECT_EQ(std::ifstream(path, std::ios::binary).good(), at_measurement);
+  }
+
+  ckpt::ResumeInfo info;
+  ckpt::CheckpointPolicy fin;
+  fin.path = path;
+  fin.save_at_measurement = true;
+  fin.resume_info = &info;
+  EXPECT_EQ(run_once(cfg, w, "HF-RF", fin), baseline);
+  EXPECT_TRUE(info.resumed) << info.error;
+}
+
 TEST(Ckpt, FinishedSnapshotIsIdempotent) {
   // A completed checkpointed run leaves a finished=true snapshot; re-running
   // the same command restores it and reports identically without simulating.
