@@ -148,7 +148,8 @@ class GridState final : public SharedWork {
     names.erase(std::unique(names.begin(), names.end()), names.end());
     std::vector<sim::Workload> workloads;
     workloads.reserve(names.size());
-    for (const std::string& name : names) workloads.push_back(sim::resolve_workload(name));
+    for (const std::string& name : names)
+      workloads.push_back(sim::resolve_workload(name));
     const auto refs = std::make_shared<sim::ReferenceTable>();
     sim::Experiment exp(experiment_config(false, spec_.ckpt_on ? ckpt_dir : ""), refs);
     exp.compute_references(workloads, threads);
@@ -165,8 +166,8 @@ class GridState final : public SharedWork {
   void release() override { refs_.reset(); }
 
  private:
-  [[nodiscard]] sim::ExperimentConfig experiment_config(bool chaos,
-                                                        const std::string& ckpt_dir) const {
+  [[nodiscard]] sim::ExperimentConfig experiment_config(
+      bool chaos, const std::string& ckpt_dir) const {
     sim::ExperimentConfig cfg = spec_.cfg;
     if (chaos) {
       cfg.base.fault = spec_.fault;

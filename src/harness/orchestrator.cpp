@@ -74,7 +74,8 @@ pid_t fork_redirected(const std::string& stdout_path, const std::string& stderr_
 
 /// Child side of an in-process body: runs `work`, then _exits with the
 /// contract code; a failure leaves its MEMSCHED_ERROR line on stderr.
-[[noreturn]] void finish_child(const std::string& name, const std::function<void()>& work) {
+[[noreturn]] void finish_child(const std::string& name,
+                               const std::function<void()>& work) {
   try {
     work();
     std::fflush(nullptr);
@@ -85,6 +86,31 @@ pid_t fork_redirected(const std::string& stdout_path, const std::string& stderr_
     std::fflush(nullptr);
     ::_exit(info.exit_code);
   }
+}
+
+/// Runs `work` in this process and records how it ended in the words a
+/// child's exit gets: "ok", or "interrupted"/"failed" with the diagnosis.
+PointRecord run_here(const std::function<void()>& work) {
+  PointRecord rec;
+  try {
+    work();
+    rec.status = "ok";
+    rec.category = "ok";
+  } catch (...) {
+    const ErrorInfo info = classify_current_exception();
+    rec.status = info.exit_code == kExitInterrupted ? "interrupted" : "failed";
+    rec.category = info.category;
+    rec.exit_code = info.exit_code;
+    rec.error = info.what;
+  }
+  return rec;
+}
+
+/// A point's in-process body; body_ckpt checkpoints into `ckpt_dir`.
+util::Json run_body(const PointSpec& point, const std::string& ckpt_dir) {
+  if (point.body_ckpt) return point.body_ckpt(ckpt_dir);
+  if (point.body) return point.body();
+  throw std::runtime_error("point has no body");
 }
 
 }  // namespace
@@ -470,32 +496,19 @@ Orchestrator::ChildFiles Orchestrator::child_files(std::size_t index) const {
 }
 
 PointRecord Orchestrator::run_inline(const PointSpec& point, std::size_t index) {
-  PointRecord rec;
-  rec.name = point.name;
-  rec.index = static_cast<std::uint32_t>(index);
   const auto start = util::monotonic_now();
   std::string ckpt_dir;
   if (point.body_ckpt) {
     ckpt_dir = ckpt_dir_for(index);
     ::mkdir(ckpt_dir.c_str(), 0755);  // EEXIST expected across retries
   }
-  try {
-    if (point.body_ckpt) {
-      rec.payload = point.body_ckpt(ckpt_dir).dump(-1);
-    } else if (point.body) {
-      rec.payload = point.body().dump(-1);
-    } else {
-      throw std::runtime_error("point has no body");
-    }
-    rec.status = "ok";
-    rec.category = "ok";
+  std::string payload;
+  PointRecord rec = run_here([&] { payload = run_body(point, ckpt_dir).dump(-1); });
+  rec.name = point.name;
+  rec.index = static_cast<std::uint32_t>(index);
+  if (rec.ok()) {
+    rec.payload = std::move(payload);
     if (!ckpt_dir.empty()) remove_tree(ckpt_dir);
-  } catch (...) {
-    const ErrorInfo info = classify_current_exception();
-    rec.status = info.exit_code == kExitInterrupted ? "interrupted" : "failed";
-    rec.category = info.category;
-    rec.exit_code = info.exit_code;
-    rec.error = info.what;
   }
   rec.wall_ms = ms_since(start);
   return rec;
@@ -528,76 +541,21 @@ pid_t Orchestrator::spawn_child(const PointSpec& point, std::size_t index,
   // A sampled run fast-forwards on default_thread_count() threads; without
   // the share, a full pool would time-slice siblings x hardware threads.
   sim::share_host(siblings);
-  finish_child(point.name, [&] {
-    if (point.body_ckpt) {
-      point.body_ckpt(ckpt_dir).write_file(files.result, -1);
-    } else if (point.body) {
-      point.body().write_file(files.result, -1);
-    } else {
-      throw std::runtime_error("point has no body");
-    }
-  });
+  finish_child(point.name,
+               [&] { run_body(point, ckpt_dir).write_file(files.result, -1); });
 }
 
 bool Orchestrator::run_references(SharedWork& work, const std::vector<std::string>& names,
                                   std::uint32_t jobs) {
   const auto start = util::monotonic_now();
-  references_.ran = true;
   const std::string stem = cfg_.work_dir + "/references";
   const std::string ckpt_dir = stem + ".ckpt.d";
   const std::string out_path = stem + ".bin";
-  const std::string stderr_path = stem + ".stderr";
   std::remove(out_path.c_str());
   ::mkdir(ckpt_dir.c_str(), 0755);  // EEXIST expected after a kill or stop
   const auto compute = [&] { work.compute(names, jobs, ckpt_dir, out_path); };
-
-  PointRecord rec;
-  if (!cfg_.isolate) {
-    try {
-      compute();
-      rec.status = "ok";
-    } catch (...) {
-      const ErrorInfo info = classify_current_exception();
-      rec.status = info.exit_code == kExitInterrupted ? "interrupted" : "failed";
-      rec.category = info.category;
-      rec.error = info.what;
-    }
-  } else {
-    const pid_t pid = fork_redirected(stem + ".stdout", stderr_path);
-    if (pid == 0) finish_child("references", compute);
-    int status = 0;
-    bool timed_out = false;
-    bool stop_forwarded = false;
-    const char* failed_call = pid < 0 ? "fork" : nullptr;
-    const auto deadline = start + util::seconds_to_duration(cfg_.timeout_seconds);
-    while (failed_call == nullptr) {
-      // The same contract as a point child: a stop is forwarded as SIGTERM,
-      // and the wall-clock watchdog SIGKILLs a child that overstays.
-      if (!stop_forwarded && cfg_.stop != nullptr && *cfg_.stop != 0) {
-        ::kill(pid, SIGTERM);
-        stop_forwarded = true;
-      }
-      const pid_t r = ::waitpid(pid, &status, WNOHANG);
-      if (r == pid) break;
-      if (r < 0 && errno != EINTR) failed_call = "waitpid";
-      if (r == 0 && cfg_.timeout_seconds > 0.0 && util::monotonic_now() >= deadline) {
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, &status, 0);
-        timed_out = true;
-        break;
-      }
-      if (r == 0) ::usleep(2000);
-    }
-    if (failed_call != nullptr) {
-      rec.status = "failed";
-      rec.category = "internal";
-      rec.error = std::string(failed_call) + " failed: " + std::strerror(errno);
-    } else {
-      rec = classify_exit(status, timed_out, stop_forwarded, stderr_path);
-    }
-  }
-
-  if (rec.status == "ok") {
+  PointRecord rec = cfg_.isolate ? reference_child(compute, stem) : run_here(compute);
+  if (rec.ok()) {
     try {
       references_.installed = work.install(out_path);
       remove_tree(ckpt_dir);
@@ -607,29 +565,63 @@ bool Orchestrator::run_references(SharedWork& work, const std::vector<std::strin
       rec.error = e.what();
     }
   }
+  const bool interrupted = rec.status == "interrupted";
+  references_.ran = true;
   references_.wall_ms = ms_since(start);
-  if (rec.status == "interrupted") {
-    if (cfg_.verbose) {
-      std::fprintf(stderr, "[sweep] references: interrupted (state checkpointed)\n");
-    }
-    return false;
-  }
-  if (rec.status != "ok") {
-    references_.fell_back = true;
-    references_.diagnosis = rec.category + ": " + rec.error;
-  }
+  references_.fell_back = !rec.ok() && !interrupted;
+  if (references_.fell_back) references_.diagnosis = rec.category + ": " + rec.error;
   if (cfg_.verbose) {
-    if (references_.fell_back) {
+    if (interrupted) {
+      std::fprintf(stderr, "[sweep] references: interrupted (state checkpointed)\n");
+    } else if (references_.fell_back) {
       std::fprintf(stderr,
                    "[sweep] references: fell back after %.0f ms (%s); points simulate "
                    "their own\n",
                    references_.wall_ms, references_.diagnosis.c_str());
     } else {
-      std::fprintf(stderr, "[sweep] references: %zu computed for %zu points (%u threads, %.0f ms)\n",
-                   references_.installed, names.size(), jobs, references_.wall_ms);
+      std::fprintf(stderr,
+                   "[sweep] references: %zu for %zu points in %.0f ms (%u threads)\n",
+                   references_.installed, names.size(), references_.wall_ms, jobs);
     }
   }
-  return true;
+  return !interrupted;
+}
+
+PointRecord Orchestrator::reference_child(const std::function<void()>& compute,
+                                          const std::string& stem) const {
+  const auto start = util::monotonic_now();
+  const pid_t pid = fork_redirected(stem + ".stdout", stem + ".stderr");
+  if (pid == 0) finish_child("references", compute);
+  int status = 0;
+  bool timed_out = false;
+  bool stop_forwarded = false;
+  const char* failed_call = pid < 0 ? "fork" : nullptr;
+  const auto deadline = start + util::seconds_to_duration(cfg_.timeout_seconds);
+  while (failed_call == nullptr) {
+    // The contract of a point child: a stop is forwarded as SIGTERM, and
+    // the wall-clock watchdog SIGKILLs a child that overstays.
+    if (!stop_forwarded && cfg_.stop != nullptr && *cfg_.stop != 0) {
+      ::kill(pid, SIGTERM);
+      stop_forwarded = true;
+    }
+    const pid_t r = ::waitpid(pid, &status, WNOHANG);
+    if (r == pid) break;
+    if (r < 0 && errno != EINTR) failed_call = "waitpid";
+    if (r == 0 && cfg_.timeout_seconds > 0.0 && util::monotonic_now() >= deadline) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      timed_out = true;
+      break;
+    }
+    if (r == 0) ::usleep(2000);
+  }
+  if (failed_call == nullptr)
+    return classify_exit(status, timed_out, stop_forwarded, stem + ".stderr");
+  PointRecord rec;
+  rec.status = "failed";
+  rec.category = "internal";
+  rec.error = std::string(failed_call) + " failed: " + std::strerror(errno);
+  return rec;
 }
 
 PointRecord Orchestrator::classify_exit(int status, bool timed_out, bool stop_forwarded,

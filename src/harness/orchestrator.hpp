@@ -70,7 +70,8 @@ class SharedWork {
   /// `threads` threads and writes the results to `out_path`. Sub-runs
   /// checkpoint into `ckpt_dir`.
   virtual void compute(const std::vector<std::string>& points, std::uint32_t threads,
-                       const std::string& ckpt_dir, const std::string& out_path) const = 0;
+                       const std::string& ckpt_dir,
+                       const std::string& out_path) const = 0;
 
   /// In run()'s process: makes the results in `path` visible to the point
   /// bodies and returns how many there are. Throws ckpt::SnapshotError on a
@@ -234,6 +235,12 @@ class Orchestrator {
   /// did in `references_`. Returns false when a stop interrupted it.
   bool run_references(SharedWork& work, const std::vector<std::string>& names,
                       std::uint32_t jobs);
+
+  /// Runs `compute` in a forked reference child under the per-point
+  /// watchdog and the stop fan-out, its streams in `stem`.stdout/.stderr,
+  /// and classifies how it ended.
+  [[nodiscard]] PointRecord reference_child(const std::function<void()>& compute,
+                                            const std::string& stem) const;
 
   /// Classifies how a child ended: status "ok" for a clean exit, else the
   /// timeout, crash, interruption or exit-code diagnosis (error text from

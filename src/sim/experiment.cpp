@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <exception>
+#include <optional>
 #include <tuple>
 
 #include "ckpt/snapshot.hpp"
@@ -47,21 +49,19 @@ const core::MeProfile& ReferenceTable::get(
     landed_.wait(lock);
   }
   lock.unlock();
-  core::MeProfile result;
+  g_reference_simulations.fetch_add(1, std::memory_order_relaxed);
+  std::optional<core::MeProfile> result;
+  std::exception_ptr error;
   try {
-    g_reference_simulations.fetch_add(1, std::memory_order_relaxed);
     result = simulate();
   } catch (...) {
-    lock.lock();
-    in_flight_.erase(key);
-    landed_.notify_all();  // a waiter takes the key over
-    throw;
+    error = std::current_exception();
   }
   lock.lock();
   in_flight_.erase(key);
-  const core::MeProfile& entry = done_.emplace(key, std::move(result)).first->second;
-  landed_.notify_all();
-  return entry;
+  landed_.notify_all();  // after a failure, a waiter takes the key over
+  if (error) std::rethrow_exception(error);
+  return done_.emplace(key, std::move(*result)).first->second;
 }
 
 std::size_t ReferenceTable::size() const {
@@ -93,7 +93,8 @@ std::size_t ReferenceTable::load(const std::string& path) {
     std::string app = r.get_str();
     const double ipc = r.get_f64();
     const double bw = r.get_f64();
-    read.emplace(std::move(key), core::MeProfile::from_measurement(std::move(app), ipc, bw));
+    read.emplace(std::move(key),
+                 core::MeProfile::from_measurement(std::move(app), ipc, bw));
   }
   r.close_section();
   std::lock_guard lock(mu_);
@@ -153,7 +154,8 @@ core::MeProfile Experiment::simulate_reference(const std::string& app_name,
   sched::HitFirstReadFirstScheduler sched;
   MultiCoreSystem sys(config_for(1), {app}, sched, seed);
   ckpt::ResumeInfo info;
-  const RunResult r = sys.run(insts, cfg_.warmup_insts, cfg_.max_ticks, policy_for(context, &info));
+  const RunResult r =
+      sys.run(insts, cfg_.warmup_insts, cfg_.max_ticks, policy_for(context, &info));
   report_snapshot_fallback(context, info);
   if (r.hit_tick_limit) {
     throw CycleBudgetError(what + " hit the " + std::to_string(cfg_.max_ticks) +
@@ -164,22 +166,21 @@ core::MeProfile Experiment::simulate_reference(const std::string& app_name,
 }
 
 const core::MeProfile& Experiment::profile(const std::string& app_name) {
-  return refs_->get(reference_key("profile", app_name, cfg_.profile_seed, cfg_.profile_insts),
-                    [&] {
-                      return simulate_reference(app_name, cfg_.profile_seed,
-                                                cfg_.profile_insts, "profile-" + app_name,
-                                                "profiling run for '" + app_name + "'");
-                    });
+  const std::uint64_t seed = cfg_.profile_seed;
+  return refs_->get(reference_key("profile", app_name, seed, cfg_.profile_insts), [&] {
+    return simulate_reference(app_name, seed, cfg_.profile_insts, "profile-" + app_name,
+                              "profiling run for '" + app_name + "'");
+  });
 }
 
 double Experiment::single_ipc(const std::string& app_name, std::uint64_t seed) {
+  const std::string key = reference_key("alone", app_name, seed, cfg_.eval_insts);
   return refs_
-      ->get(reference_key("alone", app_name, seed, cfg_.eval_insts),
+      ->get(key,
             [&] {
-              return simulate_reference(
-                  app_name, seed, cfg_.eval_insts,
-                  "single-" + app_name + "-" + std::to_string(seed),
-                  "single-core reference for '" + app_name + "'");
+              return simulate_reference(app_name, seed, cfg_.eval_insts,
+                                        "single-" + app_name + "-" + std::to_string(seed),
+                                        "single-core reference for '" + app_name + "'");
             })
       .ipc_single;
 }

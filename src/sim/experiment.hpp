@@ -119,7 +119,8 @@ class Experiment {
  public:
   /// `refs` is the reference table to read and fill; by default the
   /// Experiment gets a table of its own.
-  explicit Experiment(ExperimentConfig cfg, std::shared_ptr<ReferenceTable> refs = nullptr);
+  explicit Experiment(ExperimentConfig cfg,
+                      std::shared_ptr<ReferenceTable> refs = nullptr);
 
   /// Profiled ME for one application (cached in the reference table).
   const core::MeProfile& profile(const std::string& app_name);
@@ -165,7 +166,8 @@ class Experiment {
   /// One single-core HF-RF reference run, checkpointed as `context`; `what`
   /// names it in a budget error.
   [[nodiscard]] core::MeProfile simulate_reference(const std::string& app_name,
-                                                   std::uint64_t seed, std::uint64_t insts,
+                                                   std::uint64_t seed,
+                                                   std::uint64_t insts,
                                                    const std::string& context,
                                                    const std::string& what) const;
 

@@ -1005,9 +1005,9 @@ struct GridRun {
 
 /// Runs `points` of `spec` into manifest `tag`; `fresh` wipes the manifest,
 /// its sidecar and the work dir first (a cold run).
-GridRun run_grid(const harness::GridSpec& spec, const std::vector<harness::PointSpec>& points,
-                 const std::string& tag, std::uint32_t jobs, bool isolate = true,
-                 bool fresh = true) {
+GridRun run_grid(const harness::GridSpec& spec,
+                 const std::vector<harness::PointSpec>& points, const std::string& tag,
+                 std::uint32_t jobs, bool isolate = true, bool fresh = true) {
   harness::OrchestratorConfig oc = quick_config(tag);
   oc.manifest_path = tmp_path(tag + ".manifest");
   if (fresh) {
@@ -1164,13 +1164,11 @@ TEST(GridSweep, SameBytesAtEveryWidthAndInProcess) {
     EXPECT_EQ(r.manifest, serial.manifest) << "jobs=" << jobs << " isolate=" << isolate;
   }
   const harness::GridSpec sampled = pinned_sampled_grid();
-  EXPECT_EQ(golden::fnv1a_str(
-                run_grid(sampled, harness::grid_points(sampled), "width_sampled", 1).report),
-            kPinnedSampledReport);
+  const GridRun s = run_grid(sampled, harness::grid_points(sampled), "width_sampled", 1);
+  EXPECT_EQ(golden::fnv1a_str(s.report), kPinnedSampledReport);
   const harness::GridSpec budget = budget_grid();
-  EXPECT_EQ(
-      golden::fnv1a_str(run_grid(budget, harness::grid_points(budget), "width_budget", 1).report),
-      kPinnedBudgetReport);
+  const GridRun b = run_grid(budget, harness::grid_points(budget), "width_budget", 1);
+  EXPECT_EQ(golden::fnv1a_str(b.report), kPinnedBudgetReport);
 }
 
 TEST(GridSweep, SecondColdRunRecomputesReferences) {
@@ -1260,7 +1258,8 @@ TEST(GridSweep, FailedReferenceChildFallsBackToSameRecords) {
   EXPECT_TRUE(orch.run(with_share(small_points, Mode::kHang)).complete());
   EXPECT_EQ(orch.report().dump(2), expected.report);
   const util::Json timing = orch.timing_report();
-  EXPECT_EQ(timing.at("references").at("diagnosis").as_string().rfind("timeout: ", 0), 0u);
+  const std::string& diagnosis = timing.at("references").at("diagnosis").as_string();
+  EXPECT_EQ(diagnosis.rfind("timeout: ", 0), 0u) << diagnosis;
 }
 
 TEST(GridSweep, StopDuringReferencePhaseRecordsNothing) {

@@ -474,8 +474,9 @@ TEST(Experiment, ConcurrentReferencesMatchSerialBits) {
   };
   const auto bits_of = [&](Experiment& exp, std::size_t i) {
     const std::string& app = apps[i / seeds.size()];
+    const std::uint64_t seed = seeds[i % seeds.size()];
     return Bits{std::bit_cast<std::uint64_t>(exp.profile(app).memory_efficiency),
-                std::bit_cast<std::uint64_t>(exp.single_ipc(app, seeds[i % seeds.size()]))};
+                std::bit_cast<std::uint64_t>(exp.single_ipc(app, seed))};
   };
   const std::size_t n = apps.size() * seeds.size();
 
@@ -502,7 +503,8 @@ TEST(Experiment, ConcurrentReferencesMatchSerialBits) {
   Experiment reader(cfg, refs);
   const std::uint64_t settled = ReferenceTable::simulations();
   const Bits& swim = expected[1 * seeds.size()];  // apps[1] at seeds[0]
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(reader.profile("swim").memory_efficiency), swim.me);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reader.profile("swim").memory_efficiency),
+            swim.me);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(reader.single_ipc("swim")), swim.alone);
   EXPECT_EQ(ReferenceTable::simulations(), settled);
 }
