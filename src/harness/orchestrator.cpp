@@ -584,6 +584,9 @@ bool Orchestrator::run_references(SharedWork& work, const std::vector<std::strin
                    references_.installed, names.size(), references_.wall_ms, jobs);
     }
   }
+  // The phase is as long as a point may be; a liveness beat after it keeps
+  // "phase, then a long first point" from reading as a wedged runner.
+  if (cfg_.on_record) cfg_.on_record(PointRecord{});
   return !interrupted;
 }
 

@@ -156,9 +156,10 @@ struct OrchestratorConfig {
   const volatile std::sig_atomic_t* stop = nullptr;
 
   /// Liveness hook: invoked after every committed point record (including
-  /// cache hits). The serve daemon's job runners heartbeat
-  /// through this so their supervisor can tell "long point" from "wedged
-  /// runner". Must be cheap and must not throw.
+  /// cache hits), and with an empty record when the reference phase ends.
+  /// The serve daemon's job runners heartbeat through this so their
+  /// supervisor can tell "long point" from "wedged runner". Must be cheap
+  /// and must not throw.
   std::function<void(const PointRecord&)> on_record;
 };
 

@@ -1303,6 +1303,17 @@ TEST(GridSweep, TimingReportDescribesReferencePhase) {
   for (std::size_t i = 0; i < points.size(); ++i)
     EXPECT_EQ(r.timing.at("points").members()[i].first, points[i].name);
 
+  // The end of the phase is a liveness beat: an empty record.
+  harness::OrchestratorConfig oc = quick_config("timing_refs_beat");
+  std::filesystem::remove_all(oc.work_dir);
+  oc.fingerprint = harness::fingerprint(spec);
+  std::vector<std::string> beats;
+  oc.on_record = [&beats](const harness::PointRecord& rec) { beats.push_back(rec.name); };
+  harness::Orchestrator orch(oc);
+  ASSERT_TRUE(orch.run(points).complete());
+  ASSERT_EQ(beats.size(), points.size() + 1);
+  EXPECT_EQ(beats[0], "");
+
   // The first failing reference ends the phase; the diagnosis names it.
   const harness::GridSpec budget = budget_grid();
   const GridRun b = run_grid(budget, harness::grid_points(budget), "timing_budget", 2);
