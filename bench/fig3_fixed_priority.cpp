@@ -41,9 +41,6 @@ int run_bench(int argc, char** argv) {
   csv.row({"workload", "scheme", "smt_speedup", "vs_hfrf_pct"});
 
   const auto workloads = sim::table3_workloads(4, "ALL");
-  for (const auto& w : workloads) {
-    for (const auto& app : w.apps()) exp.profile(app.name);
-  }
 
   std::vector<std::vector<sim::WorkloadRun>> rows(workloads.size());
   for (auto& r : rows) r.resize(kSchemes.size());
