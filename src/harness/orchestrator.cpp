@@ -557,7 +557,7 @@ bool Orchestrator::run_references(SharedWork& work, const std::vector<std::strin
   PointRecord rec = cfg_.isolate ? reference_child(compute, stem) : run_here(compute);
   if (rec.ok()) {
     try {
-      references_.installed = work.install(out_path);
+      references_.computed = work.install(out_path);
       remove_tree(ckpt_dir);
     } catch (const ckpt::SnapshotError& e) {
       rec.status = "failed";
@@ -581,7 +581,7 @@ bool Orchestrator::run_references(SharedWork& work, const std::vector<std::strin
     } else {
       std::fprintf(stderr,
                    "[sweep] references: %zu for %zu points in %.0f ms (%u threads)\n",
-                   references_.installed, names.size(), references_.wall_ms, jobs);
+                   references_.computed, names.size(), references_.wall_ms, jobs);
     }
   }
   // The phase is as long as a point may be; a liveness beat after it keeps
@@ -783,7 +783,7 @@ util::Json Orchestrator::timing_report() const {
   doc["points"] = std::move(points);
   util::Json refs = util::Json::object();
   refs["ran"] = references_.ran;
-  refs["installed"] = references_.installed;
+  refs["computed"] = references_.computed;
   refs["wall_ms"] = references_.wall_ms;
   refs["fell_back"] = references_.fell_back;
   refs["diagnosis"] = references_.diagnosis;

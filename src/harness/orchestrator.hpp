@@ -208,8 +208,8 @@ class Orchestrator {
 
   /// Machine-readable wall-clock record of the last run(): per-point wall
   /// times, end-to-end wall time, pool width, and a "references" object for
-  /// the reference phase (whether it ran, results installed, wall time,
-  /// whether it fell back and why). Deliberately a separate document from
+  /// the reference phase ("ran", "computed" distinct results, "wall_ms",
+  /// "fell_back", "diagnosis"). Deliberately a separate document from
   /// report() — timing differs run to run, the report must not.
   [[nodiscard]] util::Json timing_report() const;
 
@@ -224,7 +224,7 @@ class Orchestrator {
   /// What the last run()'s reference phase did (timing_report()).
   struct ReferencePhase {
     bool ran = false;
-    std::size_t installed = 0;  ///< distinct results the point children inherit
+    std::size_t computed = 0;  ///< distinct results the point children inherit
     double wall_ms = 0.0;
     bool fell_back = false;
     std::string diagnosis;  ///< why it fell back: "<category>: <error>"

@@ -1138,7 +1138,7 @@ TEST(GridSweep, EachReferenceSimulatedOncePerRun) {
     const util::Json& refs = r.timing.at("references");
     EXPECT_TRUE(refs.at("ran").as_bool());
     EXPECT_FALSE(refs.at("fell_back").as_bool()) << refs.at("diagnosis").as_string();
-    EXPECT_EQ(refs.at("installed").as_uint(), kSharedReferences);
+    EXPECT_EQ(refs.at("computed").as_uint(), kSharedReferences);
     const util::Json report = util::Json::parse(r.report);
     for (const util::Json& p : report.at("points").elements()) {
       const bool chaos = p.at("name").as_string() == "2MEM-1/TCM";
@@ -1238,7 +1238,7 @@ TEST(GridSweep, FailedReferenceChildFallsBackToSameRecords) {
     EXPECT_EQ(golden::fnv1a_str(r.report), kPinnedGridReport) << category;
     const util::Json& refs = r.timing.at("references");
     EXPECT_TRUE(refs.at("fell_back").as_bool()) << category;
-    EXPECT_EQ(refs.at("installed").as_uint(), 0u);
+    EXPECT_EQ(refs.at("computed").as_uint(), 0u);
     EXPECT_EQ(refs.at("diagnosis").as_string().rfind(category, 0), 0u)
         << refs.at("diagnosis").as_string();
   }
@@ -1294,7 +1294,7 @@ TEST(GridSweep, TimingReportDescribesReferencePhase) {
   const GridRun r = run_grid(spec, points, "timing_refs", 2);
   const util::Json& refs = r.timing.at("references");
   EXPECT_TRUE(refs.at("ran").as_bool());
-  EXPECT_EQ(refs.at("installed").as_uint(), kSharedReferences);
+  EXPECT_EQ(refs.at("computed").as_uint(), kSharedReferences);
   EXPECT_GT(refs.at("wall_ms").as_number(), 0.0);
   EXPECT_FALSE(refs.at("fell_back").as_bool());
   EXPECT_EQ(refs.at("diagnosis").as_string(), "");
