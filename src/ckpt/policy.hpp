@@ -17,6 +17,12 @@ struct ResumeInfo {
   std::string error;       ///< why the snapshot was rejected, if it was
 };
 
+/// When a run saves besides its interval and a stop: when it finishes (a
+/// re-run then restores the finished state without simulating), or when its
+/// warm-up ends (a run shorter than one interval still has a mid-run
+/// snapshot to resume from).
+enum class Milestone { kFinish, kMeasurementStart };
+
 /// Controls snapshotting for one run. Default-constructed policy is inert.
 struct CheckpointPolicy {
   /// Snapshot file path; empty disables checkpointing entirely.
@@ -39,9 +45,8 @@ struct CheckpointPolicy {
   /// fall back to a fresh run, reported via `resume_info`).
   bool resume = true;
 
-  /// Also save when the warm-up ends and measurement begins, so a run
-  /// shorter than one interval still has a mid-run snapshot to resume from.
-  bool save_at_measurement = false;
+  /// The one save besides the interval and a stop.
+  Milestone milestone = Milestone::kFinish;
 
   /// Test hooks. `stop_at_tick` acts as if the stop flag fired at that tick;
   /// with `save_on_stop=false` the run aborts WITHOUT saving, emulating

@@ -32,7 +32,8 @@
 // a file that does not read back, the phase falls back: nothing is
 // installed, each point computes what it needs itself, and every record is
 // the same. A stop during the phase records nothing (the sweep reports
-// "interrupted"). The reference child is not a point: it never appears in
+// "interrupted"). With isolation off the phase runs in run()'s process, as
+// the points do. The reference child is not a point: it never appears in
 // the manifest, the report, SweepSummary or the timing report's "points";
 // the timing report's "references" object describes it.
 #pragma once

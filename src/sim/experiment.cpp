@@ -251,9 +251,12 @@ WorkloadRun Experiment::run(const Workload& w, const std::string& scheme_name) {
         "eval-" + w.name + "-" + scheme_name + "-rep" + std::to_string(rep);
     ckpt::ResumeInfo info;
     ckpt::CheckpointPolicy policy = policy_for(ctx, &info);
-    // A slice is what a point re-runs after a kill: give it a snapshot to
-    // resume from even when it is shorter than one interval.
-    policy.save_at_measurement = true;
+    // A sweep deletes a point's snapshots as soon as the point lands, so
+    // nothing reads the last slice's finished snapshot there; a snapshot
+    // when its warm-up ends is what a killed point resumes from when the
+    // slice is shorter than one interval. (A re-run of a finished
+    // experiment re-simulates that slice's measurement from it.)
+    if (rep + 1 == repeats) policy.milestone = ckpt::Milestone::kMeasurementStart;
     RunResult r = sys.run(cfg_.eval_insts, cfg_.warmup_insts, cfg_.max_ticks, policy);
     report_snapshot_fallback(ctx, info);
     if (r.hit_tick_limit) {

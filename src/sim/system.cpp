@@ -401,7 +401,8 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
     next_ckpt = (loop.t / policy.interval_ticks + 1) * policy.interval_ticks;
   }
   // A run restored past its warm-up has its measurement snapshot already.
-  bool measurement_saved = !policy.save_at_measurement || loop.measuring;
+  bool measurement_saved =
+      policy.milestone != ckpt::Milestone::kMeasurementStart || loop.measuring;
   auto checkpoint = [&] {
     if (!policy.enabled()) return;
     const Tick t = loop.t;
@@ -421,7 +422,7 @@ RunResult MultiCoreSystem::run(std::uint64_t target_insts, std::uint64_t warmup_
 
   if (!loop.finished) {
     advance(loop, watchdogs, Until::kMeasured, max_ticks, target_insts, checkpoint);
-    if (policy.enabled()) {
+    if (policy.enabled() && policy.milestone == ckpt::Milestone::kFinish) {
       // Park the completed state: a later invocation (e.g. an orchestrator
       // retry of an already-finished point) resumes it and recomputes the
       // identical result without re-simulating.

@@ -560,31 +560,39 @@ TEST(Ckpt, GracefulStopSavesAndResumes) {
   EXPECT_TRUE(info.resumed) << info.error;
 }
 
-TEST(Ckpt, MeasurementSnapshotServesARunShorterThanOneInterval) {
+TEST(Ckpt, MeasurementMilestoneServesARunShorterThanOneInterval) {
   // No periodic snapshot falls inside the run; the one taken when warm-up
-  // ends is what a SIGKILLed run resumes from.
+  // ends is what a SIGKILLed run resumes from, and a completed run leaves it
+  // (not a finished one), so a re-run re-simulates the measurement.
+  using ckpt::Milestone;
   const sim::Workload w = sim::workload_by_name("2MEM-1");
   const sim::SystemConfig cfg = base_config(sim::Engine::kSkip, w.cores(), false);
   const std::string baseline = run_once(cfg, w, "HF-RF");
 
   const std::string path = tmp_path("measurement.ckpt");
-  for (const bool at_measurement : {false, true}) {
+  for (const Milestone milestone : {Milestone::kFinish, Milestone::kMeasurementStart}) {
     std::remove(path.c_str());
     ckpt::CheckpointPolicy p;
     p.path = path;
     p.interval_ticks = 1'000'000;
-    p.save_at_measurement = at_measurement;
+    p.milestone = milestone;
     p.save_on_stop = false;  // die like SIGKILL: no parting snapshot
     p.stop_at_tick = 1'777;  // mid-measurement: the full run spans ~2.2k ticks
     EXPECT_THROW(run_once(cfg, w, "HF-RF", p), ckpt::CheckpointStop);
-    EXPECT_EQ(std::ifstream(path, std::ios::binary).good(), at_measurement);
+    EXPECT_EQ(std::ifstream(path, std::ios::binary).good(),
+              milestone == Milestone::kMeasurementStart);
   }
 
   ckpt::ResumeInfo info;
   ckpt::CheckpointPolicy fin;
   fin.path = path;
-  fin.save_at_measurement = true;
+  fin.milestone = Milestone::kMeasurementStart;
   fin.resume_info = &info;
+  const auto snapshot = read_file(path);
+  EXPECT_EQ(run_once(cfg, w, "HF-RF", fin), baseline);
+  EXPECT_TRUE(info.resumed) << info.error;
+  EXPECT_EQ(read_file(path), snapshot);  // still the mid-run snapshot
+  info = {};
   EXPECT_EQ(run_once(cfg, w, "HF-RF", fin), baseline);
   EXPECT_TRUE(info.resumed) << info.error;
 }
