@@ -64,11 +64,6 @@ const core::MeProfile& ReferenceTable::get(
   return done_.emplace(key, std::move(*result)).first->second;
 }
 
-std::size_t ReferenceTable::size() const {
-  std::lock_guard lock(mu_);
-  return done_.size();
-}
-
 void ReferenceTable::save(const std::string& path) const {
   ckpt::Writer w;
   w.begin_section("references");

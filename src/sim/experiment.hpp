@@ -95,8 +95,6 @@ class ReferenceTable {
   const core::MeProfile& get(const std::string& key,
                              const std::function<core::MeProfile()>& simulate);
 
-  [[nodiscard]] std::size_t size() const;
-
   /// Writes every entry to `path` in the checkpoint format; IPC and
   /// bandwidth keep their exact bit patterns.
   void save(const std::string& path) const;
