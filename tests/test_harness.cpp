@@ -1051,6 +1051,27 @@ TEST(GridSweep, SampledReportBytesArePinned) {
   EXPECT_EQ(golden::fnv1a_str(r.report), kPinnedSampledReport) << r.report;
 }
 
+// The sweep identity (manifest, report) and the result-cache identity of a
+// grid with no keys set and of one that sets every grid key, fault.* too.
+TEST(GridSweep, FingerprintsArePinned) {
+  const harness::GridSpec none = grid_of({});
+  const harness::GridSpec every = grid_of(
+      {"workloads=2MEM-1,4MIX-1", "schemes=HF-RF,BLISS", "insts=12345", "repeats=2",
+       "warmup=777", "profile_insts=54321", "seed=9", "profile_seed=77",
+       "interleave=page", "engine=cycle", "verify=1", "progress_window=123456",
+       "ckpt=0", "ckpt_interval=4096", "fault=1", "fault.seed=7", "fault.drop_read=0.01",
+       "fault.drop_write=0.02", "fault.dup=0.03", "fault.delay=0.04",
+       "fault.delay_max=50", "fault.stall=0.05", "fault.stall_ticks=60",
+       "fault.points=2MEM-1/BLISS"});
+  const std::string fp[] = {harness::fingerprint(none), harness::config_fingerprint(none),
+                            harness::fingerprint(every),
+                            harness::config_fingerprint(every)};
+  const std::uint64_t pinned[] = {0x70f6cb740f089889ULL, 0x88e9db2241a08dceULL,
+                                  0x007fb2ff1dbd3c65ULL, 0xf3a1c2bf4263a3f0ULL};
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_EQ(golden::fnv1a_str(fp[i]), pinned[i]) << fp[i];
+}
+
 TEST(GridSweep, BudgetFailuresArePinned) {
   // Every point fails on an alone run's tick budget; the records (status,
   // category, error text) are part of the pinned bytes.
