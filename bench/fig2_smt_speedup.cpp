@@ -9,7 +9,6 @@
 #include "harness/guarded_main.hpp"
 #include "report.hpp"
 #include "sim/json_report.hpp"
-#include "sim/runner.hpp"
 #include "sim/workloads.hpp"
 #include "util/stats.hpp"
 
@@ -22,10 +21,6 @@ namespace {
 // them by index), then the epoch-aware zoo appended for the leaderboard.
 const std::vector<std::string> kSchemes = {"HF-RF", "ME",  "RR",  "LREQ",
                                            "ME-LREQ", "BLISS", "TCM", "CADS"};
-
-struct Row {
-  std::vector<sim::WorkloadRun> runs = std::vector<sim::WorkloadRun>(kSchemes.size());
-};
 
 }  // namespace
 
@@ -52,15 +47,7 @@ int run_bench(int argc, char** argv) {
   }
   std::printf("\n");
 
-  std::vector<Row> rows(all.size());
-  std::vector<std::pair<std::size_t, std::size_t>> jobs;
-  for (std::size_t wi = 0; wi < all.size(); ++wi) {
-    for (std::size_t si = 0; si < kSchemes.size(); ++si) jobs.emplace_back(wi, si);
-  }
-  sim::parallel_for(jobs.size(), sim::default_thread_count(), [&](std::size_t j) {
-    const auto [wi, si] = jobs[j];
-    rows[wi].runs[si] = exp.run(all[wi], kSchemes[si]);
-  });
+  const auto rows = bench::run_grid(exp, all, kSchemes);
 
   // Optional machine-readable dump of every run (json=path).
   if (const std::string json_path = setup.cli.get_string("json", "");
@@ -71,7 +58,7 @@ int run_bench(int argc, char** argv) {
     util::Json runs = util::Json::array();
     for (std::size_t wi = 0; wi < all.size(); ++wi) {
       for (std::size_t si = 0; si < kSchemes.size(); ++si) {
-        runs.push_back(sim::to_json(rows[wi].runs[si]));
+        runs.push_back(sim::to_json(rows[wi][si]));
       }
     }
     doc["runs"] = std::move(runs);
@@ -97,17 +84,17 @@ int run_bench(int argc, char** argv) {
       for (std::size_t wi = 0; wi < all.size(); ++wi) {
         const auto& w = all[wi];
         if (w.cores() != cores || w.memory_intensive != (type == "MEM")) continue;
-        const Row& row = rows[wi];
-        const double base = row.runs[0].smt_speedup;
+        const auto& row = rows[wi];
+        const double base = row[0].smt_speedup;
         std::printf("%-8s", w.name.c_str());
         for (std::size_t si = 0; si < kSchemes.size(); ++si) {
-          std::printf(" %10.4f", row.runs[si].smt_speedup);
-          agg.gain[si].add(bench::pct(row.runs[si].smt_speedup, base));
-          csv.row({w.name, kSchemes[si], util::fmt(row.runs[si].smt_speedup, 4),
-                   util::fmt(bench::pct(row.runs[si].smt_speedup, base), 2)});
+          std::printf(" %10.4f", row[si].smt_speedup);
+          agg.gain[si].add(bench::pct(row[si].smt_speedup, base));
+          csv.row({w.name, kSchemes[si], util::fmt(row[si].smt_speedup, 4),
+                   util::fmt(bench::pct(row[si].smt_speedup, base), 2)});
         }
         std::printf("   ME-LREQ %s\n",
-                    bench::fmt_pct(bench::pct(row.runs[4].smt_speedup, base)).c_str());
+                    bench::fmt_pct(bench::pct(row[4].smt_speedup, base)).c_str());
       }
       std::printf("%-8s", "avg-gain");
       for (std::size_t si = 0; si < kSchemes.size(); ++si) {

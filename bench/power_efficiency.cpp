@@ -11,7 +11,6 @@
 
 #include "harness/guarded_main.hpp"
 #include "report.hpp"
-#include "sim/runner.hpp"
 #include "sim/workloads.hpp"
 #include "util/stats.hpp"
 
@@ -37,15 +36,7 @@ int run_bench(int argc, char** argv) {
 
   const auto workloads = sim::table3_workloads(4, "MEM");
 
-  std::vector<std::vector<sim::WorkloadRun>> rows(workloads.size());
-  for (auto& r : rows) r.resize(kSchemes.size());
-  std::vector<std::pair<std::size_t, std::size_t>> jobs;
-  for (std::size_t wi = 0; wi < workloads.size(); ++wi)
-    for (std::size_t si = 0; si < kSchemes.size(); ++si) jobs.emplace_back(wi, si);
-  sim::parallel_for(jobs.size(), sim::default_thread_count(), [&](std::size_t j) {
-    const auto [wi, si] = jobs[j];
-    rows[wi][si] = exp.run(workloads[wi], kSchemes[si]);
-  });
+  const auto rows = bench::run_grid(exp, workloads, kSchemes);
 
   std::printf("%-8s %-9s %10s %14s %10s %8s\n", "mix", "scheme", "power(W)",
               "uJ/kinst", "ACT-share", "row-hit");

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "sim/engine.hpp"
+#include "sim/runner.hpp"
 
 namespace memsched::bench {
 
@@ -28,28 +29,26 @@ BenchSetup BenchSetup::parse(int argc, char** argv,
                                          "engine",        "csv"};
   known.insert(known.end(), extra_keys.begin(), extra_keys.end());
   if (auto err = out.cli.check_known(known)) fail(*err);
-  sim::ExperimentConfig& e = out.experiment;
-  e.eval_insts = out.cli.get_uint("insts", e.eval_insts);
-  e.eval_repeats = static_cast<std::uint32_t>(out.cli.get_uint("repeats", e.eval_repeats));
-  e.warmup_insts = out.cli.get_uint("warmup", e.warmup_insts);
-  e.profile_insts = out.cli.get_uint("profile_insts", e.profile_insts);
-  e.eval_seed = out.cli.get_uint("seed", e.eval_seed);
-  e.profile_seed = out.cli.get_uint("profile_seed", e.profile_seed);
-  const std::string il = out.cli.get_string("interleave", "hybrid");
-  if (il == "line") e.base.interleave = dram::Interleave::kLineInterleave;
-  else if (il == "page") e.base.interleave = dram::Interleave::kPageInterleave;
-  else if (il == "hybrid") e.base.interleave = dram::Interleave::kHybrid;
-  else fail("unknown interleave '" + il + "'");
-  e.base.timing.refresh_enabled = out.cli.get_bool("refresh", false);
-  // Default comes from the MEMSCHED_VERIFY environment flag; verify= overrides.
-  e.base.audit.enabled = out.cli.get_bool("verify", e.base.audit.enabled);
-  const std::string eng = out.cli.get_string("engine", "skip");
-  if (eng == "skip") e.base.engine = sim::Engine::kSkip;
-  else if (eng == "cycle") e.base.engine = sim::Engine::kCycle;
-  else if (eng == "sampled") e.base.engine = sim::Engine::kSampled;
-  else fail("unknown engine '" + eng + "'");
+  try {
+    sim::read_experiment_keys(out.cli, out.experiment);
+  } catch (const std::invalid_argument& e) {
+    fail(e.what());
+  }
   out.csv_path = out.cli.get_string("csv", "");
   return out;
+}
+
+std::vector<std::vector<sim::WorkloadRun>> run_grid(sim::Experiment& exp,
+                                                    const std::vector<sim::Workload>& workloads,
+                                                    const std::vector<std::string>& schemes) {
+  std::vector<std::vector<sim::WorkloadRun>> runs(
+      workloads.size(), std::vector<sim::WorkloadRun>(schemes.size()));
+  sim::parallel_for(runs.size() * schemes.size(), sim::default_thread_count(),
+                    [&](std::size_t j) {
+                      const std::size_t wi = j / schemes.size(), si = j % schemes.size();
+                      runs[wi][si] = exp.run(workloads[wi], schemes[si]);
+                    });
+  return runs;
 }
 
 void print_header(const BenchSetup& setup, const char* artefact,

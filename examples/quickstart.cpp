@@ -29,10 +29,8 @@ int run_example(int argc, char** argv) {
     throw std::invalid_argument(*err);
 
   sim::ExperimentConfig cfg;  // defaults reproduce the paper's Table 1
-  cfg.eval_insts = cli.get_uint("insts", 200'000);
-  cfg.profile_insts = cli.get_uint("profile_insts", cfg.profile_insts);
-  cfg.eval_repeats = static_cast<std::uint32_t>(cli.get_uint("repeats", cfg.eval_repeats));
-  cfg.eval_seed = cli.get_uint("seed", 2002);
+  cfg.eval_insts = 200'000;
+  sim::read_experiment_keys(cli, cfg);
   sim::Experiment exp(cfg);
 
   const std::string name = cli.get_string("workload", "4MEM-1");

@@ -23,22 +23,6 @@ MeTable me_for(const SchedulerArgs& args) {
   return args.me;
 }
 
-/// Nearest known scheme by edit distance, as a " (did you mean 'X'?)"
-/// suffix — empty when nothing is plausibly close.
-std::string suggestion_for(const std::string& canon) {
-  std::string best;
-  std::size_t best_d = canon.size();  // a full rewrite is not a suggestion
-  for (const std::string& known : known_schedulers()) {
-    const std::size_t d = util::edit_distance(canon, known);
-    if (d < best_d || (d == best_d && !best.empty() && known < best)) {
-      best_d = d;
-      best = known;
-    }
-  }
-  if (best.empty() || best_d > 3) return "";
-  return " (did you mean '" + best + "'?)";
-}
-
 }  // namespace
 
 sched::SchedulerPtr make_scheduler(const std::string& raw_name,
@@ -90,7 +74,9 @@ sched::SchedulerPtr make_scheduler(const std::string& raw_name,
   if (name == "BLISS") return std::make_unique<BlissScheduler>(args.core_count);
   if (name == "TCM") return std::make_unique<TcmScheduler>(args.core_count);
   if (name == "CADS") return std::make_unique<CadsScheduler>(args.core_count);
-  throw std::invalid_argument("unknown scheduler: " + raw_name + suggestion_for(name));
+  const std::vector<std::string> known = known_schedulers();
+  throw std::invalid_argument("unknown scheduler: " + raw_name +
+                              util::did_you_mean(name, {known.begin(), known.end()}));
 }
 
 std::vector<std::string> known_schedulers() {

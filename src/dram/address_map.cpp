@@ -1,5 +1,7 @@
 #include "dram/address_map.hpp"
 
+#include <stdexcept>
+
 #include "util/assert.hpp"
 #include "util/bitops.hpp"
 
@@ -8,6 +10,13 @@ namespace memsched::dram {
 using util::bits;
 using util::deposit;
 using util::ilog2;
+
+Interleave interleave_from_string(const std::string& s) {
+  if (s == "line") return Interleave::kLineInterleave;
+  if (s == "page") return Interleave::kPageInterleave;
+  if (s == "hybrid") return Interleave::kHybrid;
+  throw std::invalid_argument("unknown interleave '" + s + "' (expected line|page|hybrid)");
+}
 
 AddressMap::AddressMap(const Organization& org, Interleave scheme, bool bank_xor)
     : org_(org), scheme_(scheme), bank_xor_(bank_xor) {

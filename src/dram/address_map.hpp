@@ -36,6 +36,9 @@ enum class Interleave {
                     ///< runs for the Hit-First component to exploit
 };
 
+/// Parses "line" / "page" / "hybrid"; throws std::invalid_argument otherwise.
+[[nodiscard]] Interleave interleave_from_string(const std::string& s);
+
 /// Converts between physical addresses and DRAM coordinates. All address
 /// bits above the modeled capacity wrap (addresses are taken modulo
 /// capacity); the synthetic generators keep footprints within capacity.

@@ -38,26 +38,11 @@ const std::vector<std::string_view>& grid_keys() {
 GridSpec grid_from_config(const util::Config& cli) {
   GridSpec spec;
   sim::ExperimentConfig& cfg = spec.cfg;
-  cfg.eval_insts = cli.get_uint("insts", 30'000);
-  cfg.eval_repeats = static_cast<std::uint32_t>(cli.get_uint("repeats", 1));
-  cfg.warmup_insts = cli.get_uint("warmup", cfg.warmup_insts);
-  cfg.profile_insts = cli.get_uint("profile_insts", 80'000);
-  cfg.eval_seed = cli.get_uint("seed", cfg.eval_seed);
-  cfg.profile_seed = cli.get_uint("profile_seed", cfg.profile_seed);
-  const std::string il = cli.get_string("interleave", "hybrid");
-  if (il == "line") {
-    cfg.base.interleave = dram::Interleave::kLineInterleave;
-  } else if (il == "page") {
-    cfg.base.interleave = dram::Interleave::kPageInterleave;
-  } else if (il == "hybrid") {
-    cfg.base.interleave = dram::Interleave::kHybrid;
-  } else {
-    throw std::invalid_argument("unknown interleave '" + il + "'");
-  }
-  cfg.base.engine = sim::engine_from_string(cli.get_string("engine", "skip"));
-  cfg.base.audit.enabled = cli.get_bool("verify", cfg.base.audit.enabled);
-  cfg.base.progress_window_ticks =
-      cli.get_uint("progress_window", cfg.base.progress_window_ticks);
+  // Smoke-sized slices by default; every other default is ExperimentConfig's.
+  cfg.eval_insts = 30'000;
+  cfg.eval_repeats = 1;
+  cfg.profile_insts = 80'000;
+  sim::read_experiment_keys(cli, cfg);
   // Per-point checkpointing defaults on, except for engine=sampled, which
   // cannot checkpoint; degraded off under verify= (the auditor's shadow
   // state is not serialized, so the pair is incompatible).

@@ -47,9 +47,11 @@ struct GridSpec {
 [[nodiscard]] const std::vector<std::string_view>& grid_keys();
 
 /// Parses a grid definition out of `cli`, applying the same defaults as
-/// `memsched_sweep grid`. Throws std::invalid_argument on a malformed value
-/// (unknown interleave, out-of-range fault probability). Key validation is
-/// the caller's job (front ends accept different surrounding vocabularies).
+/// `memsched_sweep grid`; the experiment keys go through
+/// sim::read_experiment_keys. Throws std::invalid_argument on a malformed
+/// value (one that does not parse, an unknown interleave or engine, an
+/// out-of-range fault probability). Key validation is the caller's job
+/// (front ends accept different surrounding vocabularies).
 [[nodiscard]] GridSpec grid_from_config(const util::Config& cli);
 
 /// The classic full-sweep fingerprint (includes the workload/scheme CSVs) —

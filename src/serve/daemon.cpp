@@ -58,12 +58,13 @@ util::Json error_reply(const std::string& message) {
   return resp;
 }
 
+std::string describe_exit(int code) {
+  return std::string("runner exited ") + std::to_string(code) + " (" +
+         harness::exit_category(code) + ")";
+}
+
 std::string describe_status(int status) {
-  if (WIFEXITED(status)) {
-    const int code = WEXITSTATUS(status);
-    return std::string("runner exited ") + std::to_string(code) + " (" +
-           harness::exit_category(code) + ")";
-  }
+  if (WIFEXITED(status)) return describe_exit(WEXITSTATUS(status));
   if (WIFSIGNALED(status)) {
     return std::string("runner killed by signal ") + std::to_string(WTERMSIG(status));
   }
@@ -252,9 +253,9 @@ void Daemon::reap_runners() {
     if (pid <= 0) break;
     auto it = runners_.find(pid);
     if (it == runners_.end()) continue;  // orchestrator grandchild leak; ignore
-    Runner runner = std::move(it->second);
+    const std::uint64_t id = it->second.job_id;
     runners_.erase(it);
-    conclude_runner(runner, status, /*wedged=*/false);
+    conclude_job(id, WIFEXITED(status) ? WEXITSTATUS(status) : -1, describe_status(status));
   }
 }
 
@@ -267,55 +268,50 @@ void Daemon::kill_stale_runners() {
       continue;
     }
     const pid_t pid = it->first;
-    Runner runner = std::move(it->second);
+    const std::uint64_t id = it->second.job_id;
     it = runners_.erase(it);
     ::kill(pid, SIGKILL);
     int status = 0;
     ::waitpid(pid, &status, 0);
-    conclude_runner(runner, status, /*wedged=*/true);
+    conclude_job(id, -1, "heartbeat timeout (runner wedged)");
   }
 }
 
-void Daemon::conclude_runner(const Runner& runner, int status, bool wedged) {
-  const QueueRecord* rec = queue_->find(runner.job_id);
+void Daemon::conclude_job(std::uint64_t id, int code, const std::string& diagnosis) {
+  const QueueRecord* rec = queue_->find(id);
   if (rec == nullptr) return;
   if (rec->state == JobState::kCancelled) return;  // cancelled while running
 
-  const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  if (!wedged && code == harness::kExitOk) {
-    queue_->mark_done(runner.job_id);
-    retry_after_.erase(runner.job_id);
+  if (code == harness::kExitOk) {
+    queue_->mark_done(id);
+    retry_after_.erase(id);
     if (cfg_.verbose) {
       std::fprintf(stderr, "memsched_served: job %llu done\n",
-                   static_cast<unsigned long long>(runner.job_id));
+                   static_cast<unsigned long long>(id));
     }
     return;
   }
-  if (!wedged && code == harness::kExitInterrupted) {
+  if (code == harness::kExitInterrupted) {
     // Graceful park (daemon drain, or an operator signalling the runner):
     // not a failure, the attempt doesn't burn retry budget semantics — the
     // job simply returns to the queue with its checkpoints intact.
-    queue_->requeue(runner.job_id);
+    queue_->requeue(id);
     return;
   }
 
-  const std::string diagnosis =
-      wedged ? "heartbeat timeout (runner wedged)" : describe_status(status);
   if (rec->attempts >= cfg_.max_attempts) {
-    queue_->mark_failed(runner.job_id, diagnosis);
-    retry_after_.erase(runner.job_id);
+    queue_->mark_failed(id, diagnosis);
+    retry_after_.erase(id);
     std::fprintf(stderr, "memsched_served: job %llu failed permanently: %s\n",
-                 static_cast<unsigned long long>(runner.job_id), diagnosis.c_str());
+                 static_cast<unsigned long long>(id), diagnosis.c_str());
     return;
   }
-  queue_->requeue(runner.job_id);
+  queue_->requeue(id);
   const util::Backoff backoff{cfg_.backoff_seconds, 60.0};
-  retry_after_[runner.job_id] =
-      backoff.ready_at(util::monotonic_now(), rec->attempts);
+  retry_after_[id] = backoff.ready_at(util::monotonic_now(), rec->attempts);
   if (cfg_.verbose) {
     std::fprintf(stderr, "memsched_served: job %llu attempt %u failed (%s); retrying\n",
-                 static_cast<unsigned long long>(runner.job_id), rec->attempts,
-                 diagnosis.c_str());
+                 static_cast<unsigned long long>(id), rec->attempts, diagnosis.c_str());
   }
 }
 
@@ -396,20 +392,36 @@ void Daemon::runner_child(std::uint64_t id, int heartbeat_fd) {
   if (::getppid() == 1) ::_exit(harness::kExitInterrupted);  // lost the race
 #endif
 
+  // Serialize with any predecessor still parking this job (an orphan of a
+  // crashed daemon): the manifest must not have two writers. The lock fd is
+  // held for the runner's lifetime and released by _exit.
+  const int lock_fd =
+      ::open((job_dir(id) + "/.lock").c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+  if (lock_fd >= 0) (void)::flock(lock_fd, LOCK_EX);
+
+  ::_exit(run_job(id, [heartbeat_fd](const harness::PointRecord&) {
+    const char beat = 1;
+    (void)!::write(heartbeat_fd, &beat, 1);
+  }));
+}
+
+void Daemon::run_job_inline(std::uint64_t id) {
+  std::error_code ec;
+  fs::create_directories(job_dir(id), ec);
+  queue_->mark_running(id);
+  const int code = run_job(id, nullptr);
+  conclude_job(id, code, describe_exit(code));
+}
+
+int Daemon::run_job(std::uint64_t id,
+                    const std::function<void(const harness::PointRecord&)>& on_record) {
   try {
     const QueueRecord* rec = queue_->find(id);
-    if (rec == nullptr) ::_exit(harness::kExitInternal);
+    if (rec == nullptr) return harness::kExitInternal;
 
     util::Config cli;
-    if (!config_from_spec(rec->spec, &cli).empty()) ::_exit(harness::kExitUsage);
+    if (!config_from_spec(rec->spec, &cli).empty()) return harness::kExitUsage;
     const harness::GridSpec grid = harness::grid_from_config(cli);
-
-    // Serialize with any predecessor still parking this job (an orphan of a
-    // crashed daemon): the manifest must not have two writers. The lock fd
-    // is held for the runner's lifetime and released by _exit.
-    const int lock_fd = ::open((job_dir(id) + "/.lock").c_str(),
-                               O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-    if (lock_fd >= 0) (void)::flock(lock_fd, LOCK_EX);
 
     harness::OrchestratorConfig oc;
     oc.manifest_path = job_dir(id) + "/manifest.json";
@@ -423,81 +435,28 @@ void Daemon::runner_child(std::uint64_t id, int heartbeat_fd) {
     oc.max_attempts = 2;
     oc.backoff_seconds = 0.2;
     oc.cache_dir = cfg_.cache_dir;
-    oc.isolate = true;
+    oc.isolate = !cfg_.inline_exec;  // a threaded test process must not fork
     oc.verbose = cfg_.verbose;
     oc.jobs = cfg_.jobs;
-    oc.stop = &ckpt::stop_flag();
-    oc.on_record = [heartbeat_fd](const harness::PointRecord&) {
-      const char beat = 1;
-      (void)!::write(heartbeat_fd, &beat, 1);
-    };
+    // A forked runner installed its own stop handlers.
+    oc.stop = cfg_.inline_exec ? cfg_.stop : &ckpt::stop_flag();
+    oc.on_record = on_record;
 
     // First beat up front: "alive and parsing" is distinguishable from
     // "wedged before the first point".
-    oc.on_record(harness::PointRecord{});
+    if (oc.on_record) oc.on_record(harness::PointRecord{});
 
     harness::Orchestrator orch(oc);
     const harness::SweepSummary summary = orch.run(harness::grid_points(grid));
-    if (summary.interrupted) ::_exit(harness::kExitInterrupted);
-    if (!summary.complete()) ::_exit(harness::kExitInternal);
+    if (summary.interrupted) return harness::kExitInterrupted;
+    if (!summary.complete()) return harness::kExitInternal;
 
     util::atomic_write_file(report_path(id), orch.report().dump(2) + "\n");
-    ::_exit(harness::kExitOk);
+    return harness::kExitOk;
   } catch (const std::invalid_argument&) {
-    ::_exit(harness::kExitUsage);
+    return harness::kExitUsage;
   } catch (...) {
-    ::_exit(harness::kExitInternal);
-  }
-}
-
-void Daemon::run_job_inline(std::uint64_t id) {
-  queue_->mark_running(id);
-  const QueueRecord* rec = queue_->find(id);
-  std::string diagnosis;
-  try {
-    util::Config cli;
-    diagnosis = config_from_spec(rec->spec, &cli);
-    if (diagnosis.empty()) {
-      const harness::GridSpec grid = harness::grid_from_config(cli);
-
-      std::error_code ec;
-      fs::create_directories(job_dir(id), ec);
-
-      harness::OrchestratorConfig oc;
-      oc.manifest_path = job_dir(id) + "/manifest.json";
-      oc.fingerprint = harness::fingerprint(grid);
-      oc.cache_fingerprint = harness::config_fingerprint(grid);
-      oc.work_dir = job_dir(id) + "/work";
-      oc.cache_dir = cfg_.cache_dir;
-      oc.isolate = false;  // in-process: the test harness is threaded
-      oc.verbose = cfg_.verbose;
-      oc.jobs = 1;
-      oc.stop = cfg_.stop;
-
-      harness::Orchestrator orch(oc);
-      const harness::SweepSummary summary = orch.run(harness::grid_points(grid));
-      if (summary.interrupted) {
-        queue_->requeue(id);
-        return;
-      }
-      if (summary.complete()) {
-        util::atomic_write_file(report_path(id), orch.report().dump(2) + "\n");
-        queue_->mark_done(id);
-        retry_after_.erase(id);
-        return;
-      }
-      diagnosis = "sweep incomplete";
-    }
-  } catch (const std::exception& e) {
-    diagnosis = e.what();
-  }
-  if (rec->attempts >= cfg_.max_attempts) {
-    queue_->mark_failed(id, diagnosis);
-    retry_after_.erase(id);
-  } else {
-    queue_->requeue(id);
-    const util::Backoff backoff{cfg_.backoff_seconds, 60.0};
-    retry_after_[id] = backoff.ready_at(util::monotonic_now(), rec->attempts);
+    return harness::kExitInternal;
   }
 }
 
@@ -610,11 +569,7 @@ util::Json Daemon::handle_submit(const util::Json& req) {
 
   std::string key;
   try {
-    const harness::GridSpec grid = harness::grid_from_config(cli);
-    if (grid.workloads.empty() || grid.schemes.empty()) {
-      return error_reply("submit: workloads and schemes must be non-empty");
-    }
-    key = harness::fingerprint(grid);
+    key = harness::fingerprint(harness::grid_from_config(cli));
   } catch (const std::exception& e) {
     return error_reply(std::string("submit: ") + e.what());
   }

@@ -30,10 +30,12 @@
 
 #include <csignal>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 
+#include "harness/orchestrator.hpp"
 #include "serve/job_queue.hpp"
 #include "util/json.hpp"
 #include "util/unix_socket.hpp"
@@ -129,8 +131,20 @@ class Daemon {
   bool spawn_runner(const QueueRecord& rec);
   void run_job_inline(std::uint64_t id);
   [[noreturn]] void runner_child(std::uint64_t id, int heartbeat_fd);
+
+  /// Runs job `id`'s grid to its report and returns the exit code a runner
+  /// ends with (harness::ExitCode). The forked runner and the inline path
+  /// both run jobs through here; `on_record` is the orchestrator's hook.
+  [[nodiscard]] int run_job(std::uint64_t id,
+                            const std::function<void(const harness::PointRecord&)>& on_record);
+
   void reap_runners();
-  void conclude_runner(const Runner& runner, int status, bool wedged);
+
+  /// Books the end of one attempt at job `id`: done on exit code 0, back to
+  /// the queue on 6 (a graceful park), otherwise retried after a backoff or
+  /// failed with `diagnosis` once its attempts are spent. `code` is -1 for a
+  /// runner killed by a signal or found wedged.
+  void conclude_job(std::uint64_t id, int code, const std::string& diagnosis);
   void kill_stale_runners();
   void graceful_drain(int code);
 

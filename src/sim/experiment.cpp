@@ -13,6 +13,7 @@
 #include "sim/runner.hpp"
 #include "sim/watchdog.hpp"
 #include "util/assert.hpp"
+#include "util/config.hpp"
 #include "util/json.hpp"
 
 namespace memsched::sim {
@@ -99,6 +100,25 @@ std::size_t ReferenceTable::load(const std::string& path) {
 
 std::uint64_t ReferenceTable::simulations() {
   return g_reference_simulations.load(std::memory_order_relaxed);
+}
+
+void read_experiment_keys(const util::Config& cli, ExperimentConfig& cfg) {
+  cfg.eval_insts = cli.get_uint("insts", cfg.eval_insts);
+  cfg.eval_repeats = static_cast<std::uint32_t>(cli.get_uint("repeats", cfg.eval_repeats));
+  cfg.warmup_insts = cli.get_uint("warmup", cfg.warmup_insts);
+  cfg.profile_insts = cli.get_uint("profile_insts", cfg.profile_insts);
+  cfg.eval_seed = cli.get_uint("seed", cfg.eval_seed);
+  cfg.profile_seed = cli.get_uint("profile_seed", cfg.profile_seed);
+  SystemConfig& base = cfg.base;
+  if (cli.has("interleave"))
+    base.interleave = dram::interleave_from_string(cli.get_string("interleave", ""));
+  base.bank_xor = cli.get_bool("bank_xor", base.bank_xor);
+  if (cli.has("grade"))
+    base.apply_speed_grade(dram::SpeedGrade::by_name(cli.get_string("grade", "")));
+  base.timing.refresh_enabled = cli.get_bool("refresh", base.timing.refresh_enabled);
+  if (cli.has("engine")) base.engine = engine_from_string(cli.get_string("engine", ""));
+  base.audit.enabled = cli.get_bool("verify", base.audit.enabled);
+  base.progress_window_ticks = cli.get_uint("progress_window", base.progress_window_ticks);
 }
 
 Experiment::Experiment(ExperimentConfig cfg, std::shared_ptr<ReferenceTable> refs)

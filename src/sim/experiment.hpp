@@ -25,6 +25,10 @@
 #include "sim/system.hpp"
 #include "sim/workloads.hpp"
 
+namespace memsched::util {
+class Config;
+}  // namespace memsched::util
+
 namespace memsched::sim {
 
 struct ExperimentConfig {
@@ -65,6 +69,15 @@ struct ExperimentConfig {
   Tick ckpt_interval = 1'000'000;
   const volatile std::sig_atomic_t* ckpt_stop = nullptr;
 };
+
+/// Reads the experiment keys present in `cli` into `cfg`: insts, repeats,
+/// warmup, profile_insts, seed, profile_seed, interleave, bank_xor, grade,
+/// refresh, engine, verify and progress_window. An absent key keeps the
+/// value `cfg` holds, so each front end sets its own defaults first; which
+/// keys it accepts is its own Config::check_known list, checked before this.
+/// A speed grade installs its whole timing, so refresh= applies after
+/// grade=. Throws std::invalid_argument on a malformed value.
+void read_experiment_keys(const util::Config& cli, ExperimentConfig& cfg);
 
 /// One workload x scheme evaluation, averaged over eval_repeats slices.
 struct WorkloadRun {

@@ -1,11 +1,27 @@
 #include "util/config.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
-
-#include "util/log.hpp"
+#include <stdexcept>
 
 namespace memsched::util {
+
+namespace {
+
+[[noreturn]] void refuse(const std::string& key, const std::string& value,
+                         const char* expected) {
+  throw std::invalid_argument("config: '" + key + "=" + value + "' is not " + expected);
+}
+
+std::optional<bool> parse_bool(const std::string& s) {
+  if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
+  if (s == "0" || s == "false" || s == "no" || s == "off") return false;
+  return std::nullopt;
+}
+
+}  // namespace
 
 std::optional<std::string> Config::parse_args(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -37,57 +53,52 @@ std::string Config::get_string(const std::string& key, std::string def) const {
 std::int64_t Config::get_int(const std::string& key, std::int64_t def) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
+  const char* s = it->second.c_str();
   char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 0);
-  if (end == it->second.c_str() || *end != '\0') {
-    LOG_WARN("config: '%s=%s' is not an integer; using default %lld", key.c_str(),
-             it->second.c_str(), static_cast<long long>(def));
-    return def;
-  }
+  errno = 0;
+  const long long v = std::strtoll(s, &end, 0);
+  if (end == s || *end != '\0' || errno == ERANGE) refuse(key, it->second, "a 64-bit integer");
   return v;
 }
 
 std::uint64_t Config::get_uint(const std::string& key, std::uint64_t def) const {
-  const auto v = get_int(key, static_cast<std::int64_t>(def));
-  if (v < 0) {
-    LOG_WARN("config: '%s' must be non-negative; using default", key.c_str());
-    return def;
-  }
-  return static_cast<std::uint64_t>(v);
+  const auto it = values_.find(key);
+  if (it == values_.end()) return def;
+  const char* s = it->second.c_str();
+  // strtoull would accept a sign and negate "-4" into a huge count.
+  if (!std::isdigit(static_cast<unsigned char>(*s)))
+    refuse(key, it->second, "an unsigned 64-bit integer");
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s, &end, 0);
+  if (*end != '\0' || errno == ERANGE) refuse(key, it->second, "an unsigned 64-bit integer");
+  return v;
 }
 
 double Config::get_double(const std::string& key, double def) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
+  const char* s = it->second.c_str();
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') {
-    LOG_WARN("config: '%s=%s' is not a number; using default %g", key.c_str(),
-             it->second.c_str(), def);
-    return def;
-  }
+  errno = 0;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || errno == ERANGE) refuse(key, it->second, "a number");
   return v;
 }
 
 bool Config::get_bool(const std::string& key, bool def) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
-  const std::string& s = it->second;
-  if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
-  if (s == "0" || s == "false" || s == "no" || s == "off") return false;
-  LOG_WARN("config: '%s=%s' is not a boolean; using default %d", key.c_str(), s.c_str(), def);
-  return def;
+  if (const auto b = parse_bool(it->second)) return *b;
+  refuse(key, it->second, "a boolean (1/0, true/false, yes/no, on/off)");
 }
 
 bool env_flag(const char* name, bool def) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return def;
-  const std::string s(raw);
-  if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
-  if (s == "0" || s == "false" || s == "no" || s == "off") return false;
-  LOG_WARN("config: environment %s=%s is not a boolean; using default %d", name,
-           s.c_str(), def);
-  return def;
+  if (const auto b = parse_bool(raw)) return *b;
+  throw std::invalid_argument(std::string("environment ") + name + "=" + raw +
+                              " is not a boolean (1/0, true/false, yes/no, on/off)");
 }
 
 std::size_t edit_distance(std::string_view a, std::string_view b) {
@@ -105,6 +116,20 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
   return prev[b.size()];
 }
 
+std::string did_you_mean(std::string_view name,
+                         const std::vector<std::string_view>& candidates) {
+  std::string_view best;
+  std::size_t best_dist = std::max<std::size_t>(2, name.size() / 3) + 1;
+  for (const std::string_view c : candidates) {
+    const std::size_t d = edit_distance(name, c);
+    if (d < best_dist) {
+      best_dist = d;
+      best = c;
+    }
+  }
+  return best.empty() ? "" : " (did you mean '" + std::string(best) + "'?)";
+}
+
 std::optional<std::string> Config::check_known(
     const std::vector<std::string_view>& known,
     const std::vector<std::string_view>& prefixes) const {
@@ -114,23 +139,7 @@ std::optional<std::string> Config::check_known(
     for (const std::string_view p : prefixes)
       ok = ok || (key.size() > p.size() && key.compare(0, p.size(), p) == 0);
     if (ok) continue;
-
-    std::string_view best;
-    std::size_t best_dist = std::string::npos;
-    for (const std::string_view k : known) {
-      const std::size_t d = edit_distance(key, k);
-      if (d < best_dist) {
-        best_dist = d;
-        best = k;
-      }
-    }
-    std::string err = "unknown config key '" + key + "'";
-    // Suggest only close matches — a suggestion for a wildly different key
-    // is worse than none.
-    if (best_dist != std::string::npos && best_dist <= std::max<std::size_t>(2, key.size() / 3)) {
-      err += " (did you mean '" + std::string(best) + "'?)";
-    }
-    return err;
+    return "unknown config key '" + key + "'" + did_you_mean(key, known);
   }
   return std::nullopt;
 }

@@ -1,6 +1,6 @@
 #include "verif/invariant_auditor.hpp"
 
-#include "util/log.hpp"
+#include <cstdio>
 
 namespace memsched::verif {
 
@@ -26,7 +26,8 @@ InvariantAuditor::InvariantAuditor(dram::DramSystem& dram, mc::MemoryController&
   dram_.set_command_observer(protocol_.get());
   mc_.set_auditor(lifecycle_.get());
 #else
-  LOG_WARN("verif: hooks compiled out (MEMSCHED_VERIF=OFF); auditor is inert");
+  std::fprintf(stderr, "[memsched WARN] verif: hooks compiled out (MEMSCHED_VERIF=OFF); "
+                       "auditor is inert\n");
 #endif
 }
 

@@ -20,6 +20,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ckpt/snapshot.hpp"
@@ -740,6 +741,38 @@ TEST(ServeDaemon, TwoClientConcurrentSubmissionsCollapseToOneJob) {
   d.request_stop();
   loop.join();
   EXPECT_EQ(d.exit_code(), harness::kExitInterrupted);
+}
+
+// A value that does not parse refuses the submission the way an unknown key
+// does: an error reply naming the key and value, and nothing queued.
+TEST(ServeDaemon, SubmitWithMalformedValueIsRefusedAndQueuesNothing) {
+  const std::string dir = tmp_dir("daemon_bad_value");
+  fs::create_directories(dir);
+  serve::Daemon d(daemon_cfg(dir));
+  ASSERT_TRUE(d.start()) << d.error();
+  std::thread loop([&] { (void)d.run(); });
+
+  const std::pair<const char*, const char*> cases[] = {
+      {"workloads=2MEM-1\nschemes=HF-RF\ninsts=1e4\n", "'insts=1e4'"},
+      {"workloads=2MEM-1\nschemes=HF-RF\ninterleave=pgae\n", "'pgae'"},
+      {"workloads=2MEM-1\nschemes=HF-RF\nprofile_seed=-1\n", "'profile_seed=-1'"}};
+  for (const auto& [spec, named] : cases) {
+    util::Json submit = cmd("submit");
+    submit["spec"] = spec;
+    const util::Json resp = rpc(dir + "/d.sock", submit);
+    ASSERT_FALSE(resp.at("ok").as_bool()) << spec;
+    const std::string& error = resp.at("error").as_string();
+    EXPECT_EQ(error.rfind("submit: ", 0), 0u) << error;
+    EXPECT_NE(error.find(named), std::string::npos) << error;
+  }
+
+  const util::Json status = rpc(dir + "/d.sock", cmd("status"));
+  ASSERT_TRUE(status.at("ok").as_bool());
+  EXPECT_EQ(status.at("jobs").size(), 0u);
+  EXPECT_TRUE(d.queue().jobs().empty());
+
+  d.request_stop();
+  loop.join();
 }
 
 TEST(ServeDaemon, GracefulStopExitsWithInterruptedCode) {

@@ -5,11 +5,13 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "util/atomic_file.hpp"
@@ -283,14 +285,39 @@ TEST(Config, DefaultsWhenMissing) {
   EXPECT_FALSE(c.get_bool("absent", false));
 }
 
-TEST(Config, MalformedFallsBackToDefault) {
+/// The message of the std::invalid_argument `get` throws; empty if none.
+template <typename Get>
+std::string refusal(Get get) {
+  try {
+    (void)get();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Config, MalformedValueRefuses) {
   Config c;
   c.set("n", "abc");
-  EXPECT_EQ(c.get_int("n", 3), 3);
+  c.set("insts", "1e4");
   c.set("d", "1.2.3");
-  EXPECT_DOUBLE_EQ(c.get_double("d", 4.5), 4.5);
   c.set("b", "maybe");
-  EXPECT_TRUE(c.get_bool("b", true));
+  // Each refusal names the key and the value.
+  EXPECT_NE(refusal([&] { return c.get_int("n", 3); }).find("'n=abc'"), std::string::npos);
+  EXPECT_NE(refusal([&] { return c.get_uint("insts", 3); }).find("'insts=1e4'"),
+            std::string::npos);
+  EXPECT_NE(refusal([&] { return c.get_int("insts", 3); }).find("'insts=1e4'"),
+            std::string::npos);
+  EXPECT_NE(refusal([&] { return c.get_double("d", 4.5); }).find("'d=1.2.3'"),
+            std::string::npos);
+  EXPECT_NE(refusal([&] { return c.get_bool("b", true); }).find("'b=maybe'"),
+            std::string::npos);
+  c.set("empty", "");
+  EXPECT_FALSE(refusal([&] { return c.get_uint("empty", 1); }).empty());
+  EXPECT_FALSE(refusal([&] { return c.get_double("empty", 1.0); }).empty());
+  EXPECT_FALSE(refusal([&] { return c.get_bool("empty", true); }).empty());
+  c.set("trailing", "5 ");
+  EXPECT_FALSE(refusal([&] { return c.get_int("trailing", 1); }).empty());
 }
 
 TEST(Config, RejectsTokensWithoutEquals) {
@@ -299,10 +326,41 @@ TEST(Config, RejectsTokensWithoutEquals) {
   EXPECT_TRUE(c.parse_token("=value").has_value());
 }
 
-TEST(Config, NegativeUintFallsBack) {
+TEST(Config, NegativeUintRefuses) {
   Config c;
   c.set("n", "-4");
-  EXPECT_EQ(c.get_uint("n", 11u), 11u);
+  EXPECT_NE(refusal([&] { return c.get_uint("n", 11u); }).find("'n=-4'"), std::string::npos);
+  c.set("n", "+4");
+  EXPECT_FALSE(refusal([&] { return c.get_uint("n", 11u); }).empty());
+}
+
+TEST(Config, UintReadsWholeRangeAndRefusesOverflow) {
+  Config c;
+  c.set("max", "18446744073709551615");
+  EXPECT_EQ(c.get_uint("max", 0), std::numeric_limits<std::uint64_t>::max());
+  c.set("hex", "0x10");
+  EXPECT_EQ(c.get_uint("hex", 0), 16u);
+  c.set("over", "18446744073709551616");
+  EXPECT_FALSE(refusal([&] { return c.get_uint("over", 0); }).empty());
+  c.set("big", "9223372036854775808");
+  EXPECT_FALSE(refusal([&] { return c.get_int("big", 0); }).empty());
+  c.set("neg", "-9223372036854775808");
+  EXPECT_EQ(c.get_int("neg", 0), std::numeric_limits<std::int64_t>::min());
+  c.set("huge", "1e999");
+  EXPECT_FALSE(refusal([&] { return c.get_double("huge", 0.0); }).empty());
+}
+
+TEST(Config, EnvFlagRefusesNonBoolean) {
+  ::setenv("MEMSCHED_TEST_FLAG", "on", 1);
+  EXPECT_TRUE(env_flag("MEMSCHED_TEST_FLAG", false));
+  ::setenv("MEMSCHED_TEST_FLAG", "maybe", 1);
+  EXPECT_NE(refusal([] { return env_flag("MEMSCHED_TEST_FLAG", false); })
+                .find("MEMSCHED_TEST_FLAG=maybe"),
+            std::string::npos);
+  ::setenv("MEMSCHED_TEST_FLAG", "", 1);
+  EXPECT_TRUE(env_flag("MEMSCHED_TEST_FLAG", true));
+  ::unsetenv("MEMSCHED_TEST_FLAG");
+  EXPECT_FALSE(env_flag("MEMSCHED_TEST_FLAG", false));
 }
 
 TEST(Config, KeysSorted) {
@@ -458,6 +516,16 @@ TEST(Config, CheckKnownRejectsFarFromAnything) {
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("unknown config key 'zzzzzz'"), std::string::npos) << *err;
   EXPECT_EQ(err->find("did you mean"), std::string::npos) << *err;
+}
+
+TEST(Config, DidYouMeanUsesOneCutOff) {
+  EXPECT_EQ(did_you_mean("stauts", {"submit", "status"}), " (did you mean 'status'?)");
+  // max(2, |name| / 3) edits: 2 for short names, more for long ones.
+  EXPECT_EQ(did_you_mean("abc", {"xyz"}), "");
+  EXPECT_EQ(did_you_mean("progress_wndw", {"progress_window"}),
+            " (did you mean 'progress_window'?)");
+  EXPECT_EQ(did_you_mean("seed", {"sead", "seek"}), " (did you mean 'sead'?)");  // first tie
+  EXPECT_EQ(did_you_mean("x", {}), "");
 }
 
 TEST(Config, EditDistanceBasics) {

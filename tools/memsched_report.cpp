@@ -106,10 +106,7 @@ int main(int argc, char** argv) {
             {"insts", "repeats", "profile_insts", "seed", "json"}))
       throw std::invalid_argument(*err);
     sim::ExperimentConfig cfg;
-    cfg.eval_insts = cli.get_uint("insts", 300'000);
-    cfg.eval_repeats = static_cast<std::uint32_t>(cli.get_uint("repeats", 3));
-    cfg.profile_insts = cli.get_uint("profile_insts", 1'000'000);
-    cfg.eval_seed = cli.get_uint("seed", 2002);
+    sim::read_experiment_keys(cli, cfg);
     sim::Experiment exp(cfg);
 
     std::printf("memsched reproduction report (eval %llu insts x %u, profile %llu)\n\n",

@@ -110,17 +110,8 @@ int main(int argc, char** argv) {
     }
     if (cmd == "start") return cmd_start(cli);
     if (cmd == "check") return cmd_check(cli);
-    std::string hint;
-    std::size_t best = 3;
-    for (const char* known : {"start", "check"}) {
-      const std::size_t d = util::edit_distance(cmd, known);
-      if (d < best) {
-        best = d;
-        hint = std::string(" (did you mean '") + known + "'?)";
-      }
-    }
     std::fprintf(stderr, "memsched_served: unknown command '%s'%s\n", cmd.c_str(),
-                 hint.c_str());
+                 util::did_you_mean(cmd, {"start", "check"}).c_str());
     return usage();
   });
 }

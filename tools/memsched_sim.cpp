@@ -16,7 +16,6 @@
 #include "ckpt/signal.hpp"
 #include "core/scheduler_factory.hpp"
 #include "harness/guarded_main.hpp"
-#include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/json_report.hpp"
 #include "sim/workloads.hpp"
@@ -54,21 +53,7 @@ std::vector<std::string_view> with_config_keys(std::vector<std::string_view> ext
 
 sim::ExperimentConfig config_from(const util::Config& cli) {
   sim::ExperimentConfig cfg;
-  cfg.eval_insts = cli.get_uint("insts", cfg.eval_insts);
-  cfg.eval_repeats = static_cast<std::uint32_t>(cli.get_uint("repeats", cfg.eval_repeats));
-  cfg.warmup_insts = cli.get_uint("warmup", cfg.warmup_insts);
-  cfg.profile_insts = cli.get_uint("profile_insts", cfg.profile_insts);
-  cfg.eval_seed = cli.get_uint("seed", cfg.eval_seed);
-  cfg.profile_seed = cli.get_uint("profile_seed", cfg.profile_seed);
-  const std::string il = cli.get_string("interleave", "hybrid");
-  if (il == "line") cfg.base.interleave = dram::Interleave::kLineInterleave;
-  else if (il == "page") cfg.base.interleave = dram::Interleave::kPageInterleave;
-  else cfg.base.interleave = dram::Interleave::kHybrid;
-  cfg.base.bank_xor = cli.get_bool("bank_xor", false);
-  cfg.base.engine = sim::engine_from_string(cli.get_string("engine", "skip"));
-  if (cli.has("grade")) {
-    cfg.base.apply_speed_grade(dram::SpeedGrade::by_name(cli.get_string("grade", "")));
-  }
+  sim::read_experiment_keys(cli, cfg);
   cfg.ckpt_dir = cli.get_string("ckpt_dir", "");
   if (!cfg.ckpt_dir.empty()) std::filesystem::create_directories(cfg.ckpt_dir);
   cfg.ckpt_interval = cli.get_uint("ckpt_interval", cfg.ckpt_interval);

@@ -302,18 +302,8 @@ int main(int argc, char** argv) {
     if (cmd == "cancel") return cmd_simple(cli, "cancel");
     if (cmd == "ping") return cmd_simple(cli, "ping");
     if (cmd == "drain") return cmd_simple(cli, "drain");
-    // Unknown subcommand: suggest the nearest real one (util::edit_distance,
-    // the same metric behind Config::check_known's did-you-mean).
-    std::string hint;
-    std::size_t best = 3;
-    for (const char* known :
-         {"submit", "status", "result", "wait", "cancel", "ping", "drain"}) {
-      const std::size_t d = util::edit_distance(cmd, known);
-      if (d < best) {
-        best = d;
-        hint = std::string(" (did you mean '") + known + "'?)";
-      }
-    }
+    const std::string hint = util::did_you_mean(
+        cmd, {"submit", "status", "result", "wait", "cancel", "ping", "drain"});
     std::fprintf(stderr, "memsched_submitctl: unknown command '%s'%s\n", cmd.c_str(),
                  hint.c_str());
     return usage();

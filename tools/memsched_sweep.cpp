@@ -135,13 +135,7 @@ int cmd_grid(const util::Config& cli) {
     throw std::invalid_argument(*err);
   }
 
-  harness::GridSpec spec;
-  try {
-    spec = harness::grid_from_config(cli);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return usage();
-  }
+  const harness::GridSpec spec = harness::grid_from_config(cli);
 
   // The fingerprint ties a manifest to the sweep definition; every knob that
   // changes a point's *result* belongs in it. grid_fingerprint builds it on

@@ -143,9 +143,7 @@ int cmd_analyze(const util::Config& cli) {
   const std::string in = cli.get_string("in", "");
   if (in.empty()) usage();
   const std::string il = cli.get_string("interleave", "hybrid");
-  dram::Interleave scheme = dram::Interleave::kHybrid;
-  if (il == "line") scheme = dram::Interleave::kLineInterleave;
-  if (il == "page") scheme = dram::Interleave::kPageInterleave;
+  const dram::Interleave scheme = dram::interleave_from_string(il);
   const dram::Organization org;
   const dram::AddressMap map(org, scheme, cli.get_bool("bank_xor", false));
 
