@@ -38,9 +38,9 @@ BenchSetup BenchSetup::parse(int argc, char** argv,
   return out;
 }
 
-std::vector<std::vector<sim::WorkloadRun>> run_grid(sim::Experiment& exp,
-                                                    const std::vector<sim::Workload>& workloads,
-                                                    const std::vector<std::string>& schemes) {
+std::vector<std::vector<sim::WorkloadRun>> run_grid(
+    sim::Experiment& exp, const std::vector<sim::Workload>& workloads,
+    const std::vector<std::string>& schemes) {
   std::vector<std::vector<sim::WorkloadRun>> runs(
       workloads.size(), std::vector<sim::WorkloadRun>(schemes.size()));
   sim::parallel_for(runs.size() * schemes.size(), sim::default_thread_count(),

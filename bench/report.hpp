@@ -37,9 +37,9 @@ struct BenchSetup {
 
 /// Runs every (workload, scheme) pair through `exp` on all host threads;
 /// the result grid is indexed [workload][scheme].
-std::vector<std::vector<sim::WorkloadRun>> run_grid(sim::Experiment& exp,
-                                                    const std::vector<sim::Workload>& workloads,
-                                                    const std::vector<std::string>& schemes);
+std::vector<std::vector<sim::WorkloadRun>> run_grid(
+    sim::Experiment& exp, const std::vector<sim::Workload>& workloads,
+    const std::vector<std::string>& schemes);
 
 /// Prints the standard header: binary name, paper artefact, configuration.
 void print_header(const BenchSetup& setup, const char* artefact,

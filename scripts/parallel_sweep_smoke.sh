@@ -9,10 +9,11 @@
 #   1. The determinism contract: the same grid swept at jobs=4 and jobs=1
 #      must produce byte-identical manifests and reports — completion order,
 #      dispatch order, and pool width must never leak into the output.
-#   2. Worker loss: one worker child SIGKILLed mid-pool is recorded as a
-#      crash gap, the rest of the sweep completes; the next invocation
-#      re-runs ONLY the lost point (resuming from its snapshot) and the
-#      repaired report is byte-identical to an uninterrupted jobs=1 run.
+#   2. Worker loss: one point worker SIGKILLed mid-pool (after the reference
+#      phase, once a point has snapshotted) is recorded as exactly one crash
+#      gap, the rest of the sweep completes; the next invocation re-runs ONLY
+#      the lost point (resuming from its snapshot) and the repaired report is
+#      byte-identical to an uninterrupted jobs=1 run.
 #   3. Graceful stop, at jobs=4 and at jobs=1: SIGTERM to the sweep fans out
 #      to every live worker, each parks its state, the sweep exits with the
 #      "interrupted" contract code (6), and the resume is byte-identical.
@@ -64,19 +65,27 @@ echo "== pool 2: SIGKILL one worker mid-pool; resume repairs the gap =="
 "$SWEEP" grid $KGRID jobs=4 manifest="$WORK/kill.m" report="$WORK/unused.r" \
     > /dev/null 2>&1 &
 PID=$!
-CHILD=""
+# A point snapshot means the reference phase is over, so every child of the
+# sweep is now a point worker (the reference child would fall back, not
+# lose a point).
 i=0
-while [ $i -lt 200 ]; do
-  CHILD="$(pgrep -P "$PID" 2> /dev/null | head -n 1 || true)"
-  [ -n "$CHILD" ] && break
+until ls "$WORK/kill.m".work/point-*.ckpt.d/*.ckpt > /dev/null 2>&1; do
+  [ $i -lt 600 ] ||
+      { echo "parallel_sweep_smoke: no point snapshot appeared within 30s" >&2
+        exit 1; }
   sleep 0.05
   i=$((i + 1))
 done
+CHILD="$(pgrep -P "$PID" 2> /dev/null | head -n 1 || true)"
 [ -n "$CHILD" ] ||
     { echo "parallel_sweep_smoke: no worker child appeared" >&2; exit 1; }
-sleep 0.3  # let the victim get some simulation (and ideally a snapshot) done
 kill -KILL "$CHILD" 2> /dev/null || true
 wait "$PID" || true  # lost point is a recorded gap; the sweep still lands
+CRASHES="$(grep -o '"status": *"crash"' "$WORK/kill.m" | wc -l)"
+[ "$CRASHES" -eq 1 ] ||
+    { echo "parallel_sweep_smoke: expected one crash record after the kill," \
+           "found $CRASHES" >&2
+      exit 1; }
 "$SWEEP" grid $KGRID jobs=4 manifest="$WORK/kill.m" report="$WORK/kill.r" \
     > /dev/null
 cmp "$WORK/kref.r" "$WORK/kill.r" ||

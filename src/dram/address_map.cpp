@@ -15,7 +15,8 @@ Interleave interleave_from_string(const std::string& s) {
   if (s == "line") return Interleave::kLineInterleave;
   if (s == "page") return Interleave::kPageInterleave;
   if (s == "hybrid") return Interleave::kHybrid;
-  throw std::invalid_argument("unknown interleave '" + s + "' (expected line|page|hybrid)");
+  throw std::invalid_argument("unknown interleave '" + s +
+                              "' (expected line|page|hybrid)");
 }
 
 AddressMap::AddressMap(const Organization& org, Interleave scheme, bool bank_xor)

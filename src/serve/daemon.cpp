@@ -255,7 +255,8 @@ void Daemon::reap_runners() {
     if (it == runners_.end()) continue;  // orchestrator grandchild leak; ignore
     const std::uint64_t id = it->second.job_id;
     runners_.erase(it);
-    conclude_job(id, WIFEXITED(status) ? WEXITSTATUS(status) : -1, describe_status(status));
+    conclude_job(id, WIFEXITED(status) ? WEXITSTATUS(status) : -1,
+                 describe_status(status));
   }
 }
 

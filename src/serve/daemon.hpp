@@ -135,8 +135,8 @@ class Daemon {
   /// Runs job `id`'s grid to its report and returns the exit code a runner
   /// ends with (harness::ExitCode). The forked runner and the inline path
   /// both run jobs through here; `on_record` is the orchestrator's hook.
-  [[nodiscard]] int run_job(std::uint64_t id,
-                            const std::function<void(const harness::PointRecord&)>& on_record);
+  [[nodiscard]] int run_job(
+      std::uint64_t id, const std::function<void(const harness::PointRecord&)>& on_record);
 
   void reap_runners();
 

@@ -104,7 +104,8 @@ std::uint64_t ReferenceTable::simulations() {
 
 void read_experiment_keys(const util::Config& cli, ExperimentConfig& cfg) {
   cfg.eval_insts = cli.get_uint("insts", cfg.eval_insts);
-  cfg.eval_repeats = static_cast<std::uint32_t>(cli.get_uint("repeats", cfg.eval_repeats));
+  cfg.eval_repeats =
+      static_cast<std::uint32_t>(cli.get_uint("repeats", cfg.eval_repeats));
   cfg.warmup_insts = cli.get_uint("warmup", cfg.warmup_insts);
   cfg.profile_insts = cli.get_uint("profile_insts", cfg.profile_insts);
   cfg.eval_seed = cli.get_uint("seed", cfg.eval_seed);
@@ -118,7 +119,8 @@ void read_experiment_keys(const util::Config& cli, ExperimentConfig& cfg) {
   base.timing.refresh_enabled = cli.get_bool("refresh", base.timing.refresh_enabled);
   if (cli.has("engine")) base.engine = engine_from_string(cli.get_string("engine", ""));
   base.audit.enabled = cli.get_bool("verify", base.audit.enabled);
-  base.progress_window_ticks = cli.get_uint("progress_window", base.progress_window_ticks);
+  base.progress_window_ticks =
+      cli.get_uint("progress_window", base.progress_window_ticks);
 }
 
 Experiment::Experiment(ExperimentConfig cfg, std::shared_ptr<ReferenceTable> refs)

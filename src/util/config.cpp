@@ -57,7 +57,8 @@ std::int64_t Config::get_int(const std::string& key, std::int64_t def) const {
   char* end = nullptr;
   errno = 0;
   const long long v = std::strtoll(s, &end, 0);
-  if (end == s || *end != '\0' || errno == ERANGE) refuse(key, it->second, "a 64-bit integer");
+  if (end == s || *end != '\0' || errno == ERANGE)
+    refuse(key, it->second, "a 64-bit integer");
   return v;
 }
 
@@ -71,7 +72,8 @@ std::uint64_t Config::get_uint(const std::string& key, std::uint64_t def) const 
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(s, &end, 0);
-  if (*end != '\0' || errno == ERANGE) refuse(key, it->second, "an unsigned 64-bit integer");
+  if (*end != '\0' || errno == ERANGE)
+    refuse(key, it->second, "an unsigned 64-bit integer");
   return v;
 }
 

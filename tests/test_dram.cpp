@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "dram/address_map.hpp"
 #include "dram/bank.hpp"
@@ -208,6 +209,14 @@ TEST(AddressMap, PageInterleaveFillsRowBeforeSwitching) {
   EXPECT_EQ(a.channel, b.channel);
   EXPECT_EQ(a.bank, b.bank);
   EXPECT_EQ(a.row, b.row);
+}
+
+TEST(AddressMap, InterleaveFromStringRefusesUnknownNames) {
+  EXPECT_EQ(interleave_from_string("line"), Interleave::kLineInterleave);
+  EXPECT_EQ(interleave_from_string("page"), Interleave::kPageInterleave);
+  EXPECT_EQ(interleave_from_string("hybrid"), Interleave::kHybrid);
+  EXPECT_THROW((void)interleave_from_string("pgae"), std::invalid_argument);
+  EXPECT_THROW((void)interleave_from_string(""), std::invalid_argument);
 }
 
 TEST(AddressMap, HybridCoversAllBanks) {

@@ -6,7 +6,9 @@
 #include <bit>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "harness/guarded_main.hpp"
@@ -18,6 +20,7 @@
 #include "sim/runner.hpp"
 #include "sim/system.hpp"
 #include "sim/workloads.hpp"
+#include "util/config.hpp"
 
 namespace memsched::sim {
 namespace {
@@ -433,6 +436,30 @@ TEST(JsonReport, WorkloadRunSerializesMetrics) {
 }
 
 // ----------------------------------------------------------- experiment ---
+
+TEST(Experiment, ReadKeysKeepsAbsentKeysAndAppliesGradeBeforeRefresh) {
+  ExperimentConfig cfg;
+  cfg.eval_insts = 12'345;  // a front end's own default
+  util::Config cli;
+  cli.set("seed", "7");
+  cli.set("refresh", "1");
+  cli.set("grade", "DDR2-533");
+  cli.set("interleave", "line");
+  read_experiment_keys(cli, cfg);
+  EXPECT_EQ(cfg.eval_insts, 12'345u);
+  EXPECT_EQ(cfg.eval_seed, 7u);
+  EXPECT_EQ(cfg.profile_seed, ExperimentConfig{}.profile_seed);
+  EXPECT_EQ(cfg.base.interleave, dram::Interleave::kLineInterleave);
+  EXPECT_EQ(cfg.base.cpu_ratio, dram::SpeedGrade::by_name("DDR2-533").cpu_ratio);
+  EXPECT_TRUE(cfg.base.timing.refresh_enabled) << "grade= must not undo refresh=";
+
+  for (const auto& [key, value] : {std::pair{"interleave", "pgae"}, {"engine", "fast"},
+                                   {"grade", "DDR9"}, {"repeats", "-1"}}) {
+    util::Config bad;
+    bad.set(key, value);
+    EXPECT_THROW(read_experiment_keys(bad, cfg), std::invalid_argument) << key;
+  }
+}
 
 TEST(Experiment, ProfileCachesAcrossCalls) {
   ExperimentConfig cfg;

@@ -303,7 +303,8 @@ TEST(Config, MalformedValueRefuses) {
   c.set("d", "1.2.3");
   c.set("b", "maybe");
   // Each refusal names the key and the value.
-  EXPECT_NE(refusal([&] { return c.get_int("n", 3); }).find("'n=abc'"), std::string::npos);
+  EXPECT_NE(refusal([&] { return c.get_int("n", 3); }).find("'n=abc'"),
+            std::string::npos);
   EXPECT_NE(refusal([&] { return c.get_uint("insts", 3); }).find("'insts=1e4'"),
             std::string::npos);
   EXPECT_NE(refusal([&] { return c.get_int("insts", 3); }).find("'insts=1e4'"),
@@ -329,7 +330,8 @@ TEST(Config, RejectsTokensWithoutEquals) {
 TEST(Config, NegativeUintRefuses) {
   Config c;
   c.set("n", "-4");
-  EXPECT_NE(refusal([&] { return c.get_uint("n", 11u); }).find("'n=-4'"), std::string::npos);
+  EXPECT_NE(refusal([&] { return c.get_uint("n", 11u); }).find("'n=-4'"),
+            std::string::npos);
   c.set("n", "+4");
   EXPECT_FALSE(refusal([&] { return c.get_uint("n", 11u); }).empty());
 }
@@ -524,7 +526,8 @@ TEST(Config, DidYouMeanUsesOneCutOff) {
   EXPECT_EQ(did_you_mean("abc", {"xyz"}), "");
   EXPECT_EQ(did_you_mean("progress_wndw", {"progress_window"}),
             " (did you mean 'progress_window'?)");
-  EXPECT_EQ(did_you_mean("seed", {"sead", "seek"}), " (did you mean 'sead'?)");  // first tie
+  // A tie goes to the earliest candidate.
+  EXPECT_EQ(did_you_mean("seed", {"sead", "seek"}), " (did you mean 'sead'?)");
   EXPECT_EQ(did_you_mean("x", {}), "");
 }
 
