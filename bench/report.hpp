@@ -18,16 +18,18 @@
 
 namespace memsched::bench {
 
-/// Parses CLI overrides and builds the experiment configuration:
+/// Parses CLI overrides and builds the experiment configuration
+/// (sim::read_experiment_keys):
 ///   insts=N repeats=N warmup=N profile_insts=N seed=N profile_seed=N
 ///   interleave=line|page|hybrid refresh=0|1 verify=0|1
+///   engine=skip|cycle|sampled
 struct BenchSetup {
   util::Config cli;
   sim::ExperimentConfig experiment;
   std::string csv_path;  ///< empty = no CSV
 
   /// Parses or dies loudly: malformed tokens, unknown keys (after a
-  /// did-you-mean check), or bad enum values print usage and raise
+  /// did-you-mean check), or malformed values print usage and raise
   /// std::invalid_argument, which the guarded_main wrapper turns into exit
   /// code 2 plus a structured MEMSCHED_ERROR line. `extra_keys` lists
   /// bench-specific additions to the shared vocabulary above.
