@@ -35,7 +35,7 @@
 #include <memory>
 #include <string>
 
-#include "harness/orchestrator.hpp"
+#include "harness/manifest.hpp"
 #include "serve/job_queue.hpp"
 #include "util/json.hpp"
 #include "util/unix_socket.hpp"

@@ -66,13 +66,12 @@ std::uint64_t Config::get_uint(const std::string& key, std::uint64_t def) const 
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
   const char* s = it->second.c_str();
-  // strtoull would accept a sign and negate "-4" into a huge count.
-  if (!std::isdigit(static_cast<unsigned char>(*s)))
-    refuse(key, it->second, "an unsigned 64-bit integer");
   char* end = nullptr;
   errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 0);
-  if (*end != '\0' || errno == ERANGE)
+  // strtoull would accept a sign and negate "-4" into a huge count.
+  const bool digit = std::isdigit(static_cast<unsigned char>(*s)) != 0;
+  const unsigned long long v = digit ? std::strtoull(s, &end, 0) : 0;
+  if (!digit || *end != '\0' || errno == ERANGE)
     refuse(key, it->second, "an unsigned 64-bit integer");
   return v;
 }
