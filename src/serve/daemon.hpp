@@ -64,7 +64,8 @@ struct ServeConfig {
   double backoff_seconds = 0.5;    ///< util::Backoff base between attempts
 
   /// Run jobs synchronously inside the event loop instead of forking a
-  /// runner. For unit tests (which are threaded and must not fork); the
+  /// runner, with their points in-process: the runner's job path minus the
+  /// forks. For unit tests (which are threaded and must not fork); the
   /// forked path is covered by the serve smoke script.
   bool inline_exec = false;
 
