@@ -165,39 +165,25 @@ void SetAssocCache::reset() {
   stats_ = CacheStats{};
 }
 
-void SetAssocCache::save_state(ckpt::Writer& w) const {
-  w.put_u64(lines_.size());
-  for (const Line& l : lines_) {
-    w.put_u64(l.tag);
-    w.put_bool(l.valid);
-    w.put_bool(l.dirty);
-    w.put_bool(l.prefetched);
-    w.put_u64(l.lru);
+template <class Self, class Io>
+void SetAssocCache::fields(Self& self, Io& io) {
+  io.count(self.lines_.size(), "cache geometry");
+  for (auto& l : self.lines_) {
+    io(l.tag);
+    io(l.valid);
+    io(l.dirty);
+    io(l.prefetched);
+    io(l.lru);
   }
-  w.put_u64(lru_clock_);
-  w.put_u64(stats_.hits);
-  w.put_u64(stats_.misses);
-  w.put_u64(stats_.evictions);
-  w.put_u64(stats_.writebacks);
+  io(self.lru_clock_);
+  io(self.stats_.hits);
+  io(self.stats_.misses);
+  io(self.stats_.evictions);
+  io(self.stats_.writebacks);
 }
 
-void SetAssocCache::load_state(ckpt::Reader& r) {
-  const std::uint64_t n = r.get_u64();
-  if (n != lines_.size()) {
-    throw ckpt::SnapshotError("snapshot: cache geometry mismatch");
-  }
-  for (Line& l : lines_) {
-    l.tag = r.get_u64();
-    l.valid = r.get_bool();
-    l.dirty = r.get_bool();
-    l.prefetched = r.get_bool();
-    l.lru = r.get_u64();
-  }
-  lru_clock_ = r.get_u64();
-  stats_.hits = r.get_u64();
-  stats_.misses = r.get_u64();
-  stats_.evictions = r.get_u64();
-  stats_.writebacks = r.get_u64();
-}
+void SetAssocCache::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
+void SetAssocCache::load_state(ckpt::Reader& r) { fields(*this, r); }
 
 }  // namespace memsched::cache

@@ -103,6 +103,9 @@ class alignas(64) SetAssocCache {
   void load_state(ckpt::Reader& r);
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   struct Line {
     Addr tag = 0;
     bool valid = false;

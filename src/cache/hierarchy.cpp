@@ -223,43 +223,25 @@ void CacheHierarchy::reset() {
   wb_enqueued_ = 0;
 }
 
-void CacheHierarchy::save_state(ckpt::Writer& w) const {
-  w.put_u64(l1i_.size());
-  for (const SetAssocCache& c : l1i_) c.save_state(w);
-  for (const SetAssocCache& c : l1d_) c.save_state(w);
-  l2_.save_state(w);
-  l2_mshr_.save_state(w);
-  prefetcher_.save_state(w);
-  w.put_u64(pf_issued_);
-  w.put_u64(pf_useful_);
-  w.put_u64(writeback_q_.size());
-  for (const auto& [core, line] : writeback_q_) {
-    w.put_u32(core);
-    w.put_u64(line);
-  }
-  w.put_u64(wb_enqueued_);
+template <class Self, class Io>
+void CacheHierarchy::fields(Self& self, Io& io) {
+  io.count(self.l1i_.size(), "hierarchy core count");
+  for (auto& c : self.l1i_) io.nested(c);
+  for (auto& c : self.l1d_) io.nested(c);
+  io.nested(self.l2_);
+  io.nested(self.l2_mshr_);
+  io.nested(self.prefetcher_);
+  io(self.pf_issued_);
+  io(self.pf_useful_);
+  io.seq(self.writeback_q_, [&](auto& wb) {
+    io(wb.first);
+    io(wb.second);
+  });
+  io(self.wb_enqueued_);
 }
 
-void CacheHierarchy::load_state(ckpt::Reader& r) {
-  const std::uint64_t ncores = r.get_u64();
-  if (ncores != l1i_.size()) {
-    throw ckpt::SnapshotError("snapshot: hierarchy core count mismatch");
-  }
-  for (SetAssocCache& c : l1i_) c.load_state(r);
-  for (SetAssocCache& c : l1d_) c.load_state(r);
-  l2_.load_state(r);
-  l2_mshr_.load_state(r);
-  prefetcher_.load_state(r);
-  pf_issued_ = r.get_u64();
-  pf_useful_ = r.get_u64();
-  writeback_q_.clear();
-  const std::uint64_t nwb = r.get_u64();
-  for (std::uint64_t i = 0; i < nwb; ++i) {
-    const CoreId core = r.get_u32();
-    const Addr line = r.get_u64();
-    writeback_q_.emplace_back(core, line);
-  }
-  wb_enqueued_ = r.get_u64();
-}
+void CacheHierarchy::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
+void CacheHierarchy::load_state(ckpt::Reader& r) { fields(*this, r); }
 
 }  // namespace memsched::cache

@@ -149,6 +149,9 @@ class CacheHierarchy {
   void load_state(ckpt::Reader& r);
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   /// Shared L2 leg of a miss from either L1. Returns the reply; registers
   /// `waiter_token` when a DRAM fill is needed (unless it is kNoWaiterToken).
   AccessReply l2_access(CoreId core, Addr line, bool is_write, CpuCycle now_cpu,

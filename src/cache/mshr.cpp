@@ -62,39 +62,30 @@ void MshrFile::reset() {
   merges_ = 0;
 }
 
-void MshrFile::save_state(ckpt::Writer& w) const {
-  w.put_u64(entries_.size());
-  for (const MshrEntry& e : entries_) {
-    w.put_u64(e.line_addr);
-    w.put_bool(e.valid);
-    w.put_bool(e.dispatched);
-    w.put_bool(e.prefetch);
-    w.put_u32(e.requester);
-    w.put_u64_vec(e.waiters);
+template <class Self, class Io>
+void MshrFile::fields(Self& self, Io& io) {
+  io.count(self.entries_.size(), "MSHR capacity");
+  for (auto& e : self.entries_) {
+    io(e.line_addr);
+    io(e.valid);
+    io(e.dispatched);
+    io(e.prefetch);
+    io(e.requester);
+    io(e.waiters);
   }
-  w.put_u32(used_);
-  w.put_u64(allocations_);
-  w.put_u64(merges_);
+  io(self.used_);
+  io(self.allocations_);
+  io(self.merges_);
 }
 
+void MshrFile::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
 void MshrFile::load_state(ckpt::Reader& r) {
-  const std::uint64_t n = r.get_u64();
-  if (n != entries_.size()) {
-    throw ckpt::SnapshotError("snapshot: MSHR capacity mismatch");
-  }
+  fields(*this, r);
   undispatched_ = 0;
-  for (MshrEntry& e : entries_) {
-    e.line_addr = r.get_u64();
-    e.valid = r.get_bool();
-    e.dispatched = r.get_bool();
-    e.prefetch = r.get_bool();
-    e.requester = r.get_u32();
-    e.waiters = r.get_u64_vec();
+  for (const MshrEntry& e : entries_) {
     if (e.valid && !e.dispatched) ++undispatched_;
   }
-  used_ = r.get_u32();
-  allocations_ = r.get_u64();
-  merges_ = r.get_u64();
 }
 
 }  // namespace memsched::cache

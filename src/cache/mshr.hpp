@@ -79,6 +79,9 @@ class MshrFile {
   void load_state(ckpt::Reader& r);
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   std::vector<MshrEntry> entries_;
   std::uint32_t used_ = 0;
   std::uint32_t undispatched_ = 0;  ///< valid && !dispatched; derived, not saved

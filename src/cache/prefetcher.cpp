@@ -57,40 +57,24 @@ void StreamPrefetcher::reset() {
   triggers_ = 0;
 }
 
-void StreamPrefetcher::save_state(ckpt::Writer& w) const {
-  w.put_u64(table_.size());
-  for (const auto& per_core : table_) {
-    w.put_u64(per_core.size());
-    for (const StreamEntry& e : per_core) {
-      w.put_u64(e.next_line);
-      w.put_u32(e.confidence);
-      w.put_u64(e.lru);
-      w.put_bool(e.valid);
+template <class Self, class Io>
+void StreamPrefetcher::fields(Self& self, Io& io) {
+  io.count(self.table_.size(), "prefetcher table");
+  for (auto& per_core : self.table_) {
+    io.count(per_core.size(), "prefetcher table");
+    for (auto& e : per_core) {
+      io(e.next_line);
+      io(e.confidence);
+      io(e.lru);
+      io(e.valid);
     }
   }
-  w.put_u64(lru_clock_);
-  w.put_u64(triggers_);
+  io(self.lru_clock_);
+  io(self.triggers_);
 }
 
-void StreamPrefetcher::load_state(ckpt::Reader& r) {
-  const std::uint64_t ncores = r.get_u64();
-  if (ncores != table_.size()) {
-    throw ckpt::SnapshotError("snapshot: prefetcher table mismatch");
-  }
-  for (auto& per_core : table_) {
-    const std::uint64_t nent = r.get_u64();
-    if (nent != per_core.size()) {
-      throw ckpt::SnapshotError("snapshot: prefetcher table mismatch");
-    }
-    for (StreamEntry& e : per_core) {
-      e.next_line = r.get_u64();
-      e.confidence = r.get_u32();
-      e.lru = r.get_u64();
-      e.valid = r.get_bool();
-    }
-  }
-  lru_clock_ = r.get_u64();
-  triggers_ = r.get_u64();
-}
+void StreamPrefetcher::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
+void StreamPrefetcher::load_state(ckpt::Reader& r) { fields(*this, r); }
 
 }  // namespace memsched::cache

@@ -46,6 +46,9 @@ class StreamPrefetcher {
   void load_state(ckpt::Reader& r);
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   struct StreamEntry {
     Addr next_line = 0;   ///< expected next miss
     std::uint32_t confidence = 0;

@@ -309,6 +309,19 @@ std::vector<std::uint64_t> Reader::get_u64_vec() {
   return v;
 }
 
+std::size_t Reader::get_seq_len() {
+  const std::uint64_t len = get_u64();
+  // Every element takes at least one byte.
+  if (len > cur_->size - pos_) {
+    throw SnapshotError("snapshot: implausible sequence length in " + what_);
+  }
+  return static_cast<std::size_t>(len);
+}
+
+void Reader::count(std::uint64_t n, const char* what) {
+  if (get_u64() != n) throw SnapshotError(std::string("snapshot: ") + what + " mismatch");
+}
+
 void Reader::get_rng(util::Xoshiro256& rng) {
   util::Xoshiro256::State st{};
   for (auto& w : st.s) w = get_u64();

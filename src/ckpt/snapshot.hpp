@@ -24,6 +24,23 @@
 // and framed formats: result-cache entries are snapshots, and the sweep
 // daemon's WAL records and socket frames are bare records (Writer::record,
 // Reader::record) framed by src/serve/wire.
+//
+// Field lists. A stateful component states its section's format once, as a
+// private member template
+//
+//   template <class Self, class Io> static void fields(Self& self, Io& io);
+//
+// that names every field in file order: io(self.x_) for a field,
+// io.count(n, "what") for a length fixed by the configuration,
+// io.seq(container, fn) for a variable-length list, io.nested(part) for a
+// component with its own save_state/load_state. save_state(w) const is
+// fields(*this, w) (Self = const X, Io = Writer) and load_state(r) is
+// fields(*this, r), so the two directions cannot drift apart. Writer and
+// Reader share these member names, each one line over put_*/get_*, so every
+// encoding still exists once; Reader's overloads bind by reference, so a
+// field whose C++ type has no overload (a width the format does not have)
+// fails to compile. The free-function codecs (result-cache entries, WAL
+// records, socket frames) keep put_*/get_*.
 #pragma once
 
 #include <bit>
@@ -34,6 +51,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -111,6 +129,40 @@ class Writer {
   void put_rng(const util::Xoshiro256& rng);
   void put_stat(const util::RunningStat& st);
   void put_hist(const util::Histogram& h);
+
+  // Field-list vocabulary (see the top of this file).
+  void operator()(bool v) { put_bool(v); }
+  void operator()(std::uint8_t v) { put_u8(v); }
+  void operator()(std::uint32_t v) { put_u32(v); }
+  void operator()(std::uint64_t v) { put_u64(v); }
+  void operator()(double v) { put_f64(v); }
+  /// An enum is stored as one byte.
+  template <class E>
+    requires std::is_enum_v<E>
+  void operator()(E v) {
+    put_u8(static_cast<std::uint8_t>(v));
+  }
+  void operator()(const std::vector<std::uint64_t>& v) { put_u64_vec(v); }
+  void operator()(const util::Xoshiro256& rng) { put_rng(rng); }
+  void operator()(const util::RunningStat& st) { put_stat(st); }
+  void operator()(const util::Histogram& h) { put_hist(h); }
+  template <class T>
+  void nested(const T& part) {
+    part.save_state(*this);
+  }
+  template <class Fn>
+  void section(const std::string& name, Fn&& fill) {
+    begin_section(name);
+    fill();
+  }
+  /// A length the reader knows from its own configuration and checks.
+  void count(std::uint64_t n, const char* /*what*/) { put_u64(n); }
+  /// A variable-length list: its length, then `each` of every element.
+  template <class C, class Fn>
+  void seq(const C& c, Fn&& each) {
+    put_u64(c.size());
+    for (const auto& e : c) each(e);
+  }
 
   /// Writes the snapshot to `path` via util::atomic_write_file. Throws on
   /// I/O failure; an existing snapshot at `path` is then left untouched, and
@@ -193,6 +245,44 @@ class Reader {
   void get_stat(util::RunningStat& st);
   void get_hist(util::Histogram& h);
 
+  // Field-list vocabulary (see the top of this file).
+  void operator()(bool& v) { v = get_bool(); }
+  void operator()(std::vector<bool>::reference v) { v = get_bool(); }
+  void operator()(std::uint8_t& v) { v = get_u8(); }
+  void operator()(std::uint32_t& v) { v = get_u32(); }
+  void operator()(std::uint64_t& v) { v = get_u64(); }
+  void operator()(double& v) { v = get_f64(); }
+  template <class E>
+    requires std::is_enum_v<E>
+  void operator()(E& v) {
+    v = static_cast<E>(get_u8());
+  }
+  void operator()(std::vector<std::uint64_t>& v) { v = get_u64_vec(); }
+  void operator()(util::Xoshiro256& rng) { get_rng(rng); }
+  void operator()(util::RunningStat& st) { get_stat(st); }
+  void operator()(util::Histogram& h) { get_hist(h); }
+  template <class T>
+  void nested(T& part) {
+    part.load_state(*this);
+  }
+  template <class Fn>
+  void section(const std::string& name, Fn&& fill) {
+    open_section(name);
+    fill();
+    close_section();
+  }
+  /// Reads a length and refuses any value but `n`: SnapshotError
+  /// "snapshot: <what> mismatch".
+  void count(std::uint64_t n, const char* what);
+  /// Replaces `c` with the stored number of value-initialized elements, then
+  /// reads `each` of them.
+  template <class C, class Fn>
+  void seq(C& c, Fn&& each) {
+    c.clear();
+    c.resize(get_seq_len());
+    for (auto& e : c) each(e);
+  }
+
   /// Asserts the open section was consumed exactly — a length mismatch means
   /// writer and reader disagree about the schema, which must not pass
   /// silently.
@@ -208,6 +298,8 @@ class Reader {
   void parse(const std::optional<std::string>& expected_fingerprint);
   void open(const Span* span, std::string what);
   const std::uint8_t* need(std::size_t n);
+  /// A seq() length; one larger than the bytes left is refused.
+  std::size_t get_seq_len();
 
   std::vector<std::uint8_t> owned_;  ///< the file image, when read from a path
   Span image_;                       ///< the whole file image, or the record

@@ -66,23 +66,17 @@ void OnlineMeLreqScheduler::reset() {
   std::fill(seeded_.begin(), seeded_.end(), false);
 }
 
-void OnlineMeLreqScheduler::save_state(ckpt::Writer& w) const {
-  w.put_u64(me_est_.size());
-  for (std::size_t i = 0; i < me_est_.size(); ++i) {
-    w.put_f64(me_est_[i]);
-    w.put_bool(seeded_[i]);
+template <class Self, class Io>
+void OnlineMeLreqScheduler::fields(Self& self, Io& io) {
+  io.count(self.me_est_.size(), "online-ME core count");
+  for (std::size_t i = 0; i < self.me_est_.size(); ++i) {
+    io(self.me_est_[i]);
+    io(self.seeded_[i]);
   }
 }
 
-void OnlineMeLreqScheduler::load_state(ckpt::Reader& r) {
-  const std::uint64_t n = r.get_u64();
-  if (n != me_est_.size()) {
-    throw ckpt::SnapshotError("snapshot: online-ME core count mismatch");
-  }
-  for (std::size_t i = 0; i < me_est_.size(); ++i) {
-    me_est_[i] = r.get_f64();
-    seeded_[i] = r.get_bool();
-  }
-}
+void OnlineMeLreqScheduler::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
+void OnlineMeLreqScheduler::load_state(ckpt::Reader& r) { fields(*this, r); }
 
 }  // namespace memsched::core

@@ -140,6 +140,9 @@ class OnlineMeLreqScheduler final : public sched::Scheduler {
   void load_state(ckpt::Reader& r) override;
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   double alpha_;
   double cpu_hz_;
   std::vector<double> me_est_;

@@ -363,83 +363,46 @@ void CoreModel::on_fill(std::uint64_t token, CpuCycle done_cpu) {
   MEMSCHED_ASSERT(false, "fill for unknown load token");
 }
 
-void CoreModel::save_state(ckpt::Writer& w) const {
-  w.put_u64(cycle_);
-  w.put_u64(issue_num_);
-  w.put_u64(commit_num_);
-  w.put_f64(budget_);
-  w.put_u8(static_cast<std::uint8_t>(last_stall_));
-  w.put_u64(self_wake_);
-  w.put_u64(outstanding_.size());
-  for (const OutstandingLoad& l : outstanding_) {
-    w.put_u64(l.inst_num);
-    w.put_u64(l.done);
-    w.put_u64(l.token);
-  }
-  w.put_u64(next_token_seq_);
-  w.put_bool(have_pending_rec_);
-  w.put_u8(static_cast<std::uint8_t>(pending_rec_.cls));
-  w.put_u64(pending_rec_.addr);
-  w.put_bool(pending_rec_.dep_on_prev);
-  w.put_u64(last_load_token_);
-  w.put_bool(last_load_tracked_);
-  w.put_u32(store_q_used_);
-  w.put_u32(insts_to_next_line_);
-  w.put_u64(code_pos_);
-  w.put_u64(frontend_ready_);
-  w.put_u64(frontend_token_);
-  w.put_u64(stats_.loads);
-  w.put_u64(stats_.stores);
-  w.put_u64(stats_.l1d_hits);
-  w.put_u64(stats_.l2_hits);
-  w.put_u64(stats_.dram_loads);
-  w.put_u64(stats_.stall_rob);
-  w.put_u64(stats_.stall_dep);
-  w.put_u64(stats_.stall_mshr);
-  w.put_u64(stats_.stall_sq);
-  w.put_u64(stats_.stall_backpressure);
-  w.put_u64(stats_.stall_frontend);
+template <class Self, class Io>
+void CoreModel::fields(Self& self, Io& io) {
+  io(self.cycle_);
+  io(self.issue_num_);
+  io(self.commit_num_);
+  io(self.budget_);
+  io(self.last_stall_);
+  io(self.self_wake_);
+  io.seq(self.outstanding_, [&](auto& l) {
+    io(l.inst_num);
+    io(l.done);
+    io(l.token);
+  });
+  io(self.next_token_seq_);
+  io(self.have_pending_rec_);
+  io(self.pending_rec_.cls);
+  io(self.pending_rec_.addr);
+  io(self.pending_rec_.dep_on_prev);
+  io(self.last_load_token_);
+  io(self.last_load_tracked_);
+  io(self.store_q_used_);
+  io(self.insts_to_next_line_);
+  io(self.code_pos_);
+  io(self.frontend_ready_);
+  io(self.frontend_token_);
+  io(self.stats_.loads);
+  io(self.stats_.stores);
+  io(self.stats_.l1d_hits);
+  io(self.stats_.l2_hits);
+  io(self.stats_.dram_loads);
+  io(self.stats_.stall_rob);
+  io(self.stats_.stall_dep);
+  io(self.stats_.stall_mshr);
+  io(self.stats_.stall_sq);
+  io(self.stats_.stall_backpressure);
+  io(self.stats_.stall_frontend);
 }
 
-void CoreModel::load_state(ckpt::Reader& r) {
-  cycle_ = r.get_u64();
-  issue_num_ = r.get_u64();
-  commit_num_ = r.get_u64();
-  budget_ = r.get_f64();
-  last_stall_ = static_cast<StallKind>(r.get_u8());
-  self_wake_ = r.get_u64();
-  outstanding_.clear();
-  const std::uint64_t nout = r.get_u64();
-  for (std::uint64_t i = 0; i < nout; ++i) {
-    OutstandingLoad l{};
-    l.inst_num = r.get_u64();
-    l.done = r.get_u64();
-    l.token = r.get_u64();
-    outstanding_.push_back(l);
-  }
-  next_token_seq_ = r.get_u64();
-  have_pending_rec_ = r.get_bool();
-  pending_rec_.cls = static_cast<trace::InstClass>(r.get_u8());
-  pending_rec_.addr = r.get_u64();
-  pending_rec_.dep_on_prev = r.get_bool();
-  last_load_token_ = r.get_u64();
-  last_load_tracked_ = r.get_bool();
-  store_q_used_ = r.get_u32();
-  insts_to_next_line_ = r.get_u32();
-  code_pos_ = r.get_u64();
-  frontend_ready_ = r.get_u64();
-  frontend_token_ = r.get_u64();
-  stats_.loads = r.get_u64();
-  stats_.stores = r.get_u64();
-  stats_.l1d_hits = r.get_u64();
-  stats_.l2_hits = r.get_u64();
-  stats_.dram_loads = r.get_u64();
-  stats_.stall_rob = r.get_u64();
-  stats_.stall_dep = r.get_u64();
-  stats_.stall_mshr = r.get_u64();
-  stats_.stall_sq = r.get_u64();
-  stats_.stall_backpressure = r.get_u64();
-  stats_.stall_frontend = r.get_u64();
-}
+void CoreModel::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
+void CoreModel::load_state(ckpt::Reader& r) { fields(*this, r); }
 
 }  // namespace memsched::cpu

@@ -151,6 +151,9 @@ class alignas(64) CoreModel {
   void load_state(ckpt::Reader& r);
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   static constexpr CpuCycle kPending = ~CpuCycle{0};
 
   struct OutstandingLoad {

@@ -69,29 +69,22 @@ void Bank::issue_write(Tick now, bool auto_precharge) {
   }
 }
 
-void Bank::save_state(ckpt::Writer& w) const {
-  w.put_bool(row_open_);
-  w.put_u64(open_row_);
-  w.put_u64(act_tick_);
-  w.put_u64(earliest_act_);
-  w.put_u64(earliest_cas_);
-  w.put_u64(earliest_pre_);
-  w.put_u64(activates_);
-  w.put_u64(precharges_);
-  w.put_u64(active_ticks_);
+template <class Self, class Io>
+void Bank::fields(Self& self, Io& io) {
+  io(self.row_open_);
+  io(self.open_row_);
+  io(self.act_tick_);
+  io(self.earliest_act_);
+  io(self.earliest_cas_);
+  io(self.earliest_pre_);
+  io(self.activates_);
+  io(self.precharges_);
+  io(self.active_ticks_);
 }
 
-void Bank::load_state(ckpt::Reader& r) {
-  row_open_ = r.get_bool();
-  open_row_ = r.get_u64();
-  act_tick_ = r.get_u64();
-  earliest_act_ = r.get_u64();
-  earliest_cas_ = r.get_u64();
-  earliest_pre_ = r.get_u64();
-  activates_ = r.get_u64();
-  precharges_ = r.get_u64();
-  active_ticks_ = r.get_u64();
-}
+void Bank::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
+void Bank::load_state(ckpt::Reader& r) { fields(*this, r); }
 
 void Bank::issue_refresh(Tick now) {
   MEMSCHED_ASSERT(!row_open_, "REF issued with a row open");

@@ -195,44 +195,29 @@ void Channel::issue_refresh(Tick now) {
   for (Bank& b : banks_) b.issue_refresh(now);
 }
 
-void Channel::save_state(ckpt::Writer& w) const {
-  for (const Bank& b : banks_) b.save_state(w);
-  w.put_bool(cmd_issued_);
-  w.put_u64(last_cmd_tick_);
-  w.put_u64(data_busy_until_);
-  w.put_u64(read_data_end_);
-  w.put_u64(write_data_end_);
-  w.put_u64(last_cas_tick_);
-  w.put_bool(any_cas_);
-  w.put_u32(last_cas_rank_);
-  w.put_u64(last_act_tick_);
-  w.put_bool(any_act_);
-  for (Tick t : act_window_) w.put_u64(t);
-  w.put_u32(act_window_pos_);
-  w.put_u32(act_window_fill_);
-  w.put_u64(commands_);
-  w.put_u64(data_busy_cycles_);
-  w.put_u64(bursts_);
+template <class Self, class Io>
+void Channel::fields(Self& self, Io& io) {
+  for (auto& b : self.banks_) io.nested(b);
+  io(self.cmd_issued_);
+  io(self.last_cmd_tick_);
+  io(self.data_busy_until_);
+  io(self.read_data_end_);
+  io(self.write_data_end_);
+  io(self.last_cas_tick_);
+  io(self.any_cas_);
+  io(self.last_cas_rank_);
+  io(self.last_act_tick_);
+  io(self.any_act_);
+  for (auto& t : self.act_window_) io(t);
+  io(self.act_window_pos_);
+  io(self.act_window_fill_);
+  io(self.commands_);
+  io(self.data_busy_cycles_);
+  io(self.bursts_);
 }
 
-void Channel::load_state(ckpt::Reader& r) {
-  for (Bank& b : banks_) b.load_state(r);
-  cmd_issued_ = r.get_bool();
-  last_cmd_tick_ = r.get_u64();
-  data_busy_until_ = r.get_u64();
-  read_data_end_ = r.get_u64();
-  write_data_end_ = r.get_u64();
-  last_cas_tick_ = r.get_u64();
-  any_cas_ = r.get_bool();
-  last_cas_rank_ = r.get_u32();
-  last_act_tick_ = r.get_u64();
-  any_act_ = r.get_bool();
-  for (Tick& t : act_window_) t = r.get_u64();
-  act_window_pos_ = r.get_u32();
-  act_window_fill_ = r.get_u32();
-  commands_ = r.get_u64();
-  data_busy_cycles_ = r.get_u64();
-  bursts_ = r.get_u64();
-}
+void Channel::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
+void Channel::load_state(ckpt::Reader& r) { fields(*this, r); }
 
 }  // namespace memsched::dram

@@ -92,6 +92,9 @@ class Channel {
   void load_state(ckpt::Reader& r);
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   void consume_command_slot(Tick now);
 
   void notify(CommandType type, std::uint32_t bank, std::uint64_t row, Tick now) {

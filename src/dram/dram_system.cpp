@@ -31,13 +31,14 @@ std::uint64_t DramSystem::total_bursts() const {
   return n;
 }
 
-void DramSystem::save_state(ckpt::Writer& w) const {
-  for (const Channel& c : channels_) c.save_state(w);
+template <class Self, class Io>
+void DramSystem::fields(Self& self, Io& io) {
+  for (auto& c : self.channels_) io.nested(c);
 }
 
-void DramSystem::load_state(ckpt::Reader& r) {
-  for (Channel& c : channels_) c.load_state(r);
-}
+void DramSystem::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
+void DramSystem::load_state(ckpt::Reader& r) { fields(*this, r); }
 
 void DramSystem::set_command_observer(CommandObserver* observer) {
   for (std::uint32_t c = 0; c < channels_.size(); ++c) {

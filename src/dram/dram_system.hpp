@@ -45,6 +45,9 @@ class DramSystem {
   void load_state(ckpt::Reader& r);
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   Timing timing_;
   Organization org_;
   AddressMap map_;

@@ -60,24 +60,20 @@ bool FaultInjector::stall_command(std::uint32_t channel, Tick now) {
   return false;
 }
 
-void FaultInjector::save_state(ckpt::Writer& w) const {
-  w.put_rng(rng_);
-  w.put_u64(stats_.dropped_reads);
-  w.put_u64(stats_.dropped_writes);
-  w.put_u64(stats_.duplicated);
-  w.put_u64(stats_.delayed);
-  w.put_u64(stats_.stalls);
-  w.put_u64_vec(stall_until_);
+template <class Self, class Io>
+void FaultInjector::fields(Self& self, Io& io) {
+  io(self.rng_);
+  io(self.stats_.dropped_reads);
+  io(self.stats_.dropped_writes);
+  io(self.stats_.duplicated);
+  io(self.stats_.delayed);
+  io(self.stats_.stalls);
+  // Grown on demand, so its length is state, not configuration.
+  io(self.stall_until_);
 }
 
-void FaultInjector::load_state(ckpt::Reader& r) {
-  r.get_rng(rng_);
-  stats_.dropped_reads = r.get_u64();
-  stats_.dropped_writes = r.get_u64();
-  stats_.duplicated = r.get_u64();
-  stats_.delayed = r.get_u64();
-  stats_.stalls = r.get_u64();
-  stall_until_ = r.get_u64_vec();
-}
+void FaultInjector::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
+void FaultInjector::load_state(ckpt::Reader& r) { fields(*this, r); }
 
 }  // namespace memsched::mc

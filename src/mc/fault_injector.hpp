@@ -84,6 +84,9 @@ class FaultInjector {
   void load_state(ckpt::Reader& r);
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   FaultConfig cfg_;
   util::Xoshiro256 rng_;
   FaultStats stats_;

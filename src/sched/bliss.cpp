@@ -44,19 +44,15 @@ void BlissScheduler::reset() {
   blacklist_events_ = 0;
 }
 
-void BlissScheduler::save_state(ckpt::Writer& w) const {
-  w.put_u64(blacklist_.size());
-  for (const std::uint8_t b : blacklist_) w.put_u8(b);
-  w.put_u64(blacklist_events_);
+template <class Self, class Io>
+void BlissScheduler::fields(Self& self, Io& io) {
+  io.count(self.blacklist_.size(), "BLISS core count");
+  for (auto& b : self.blacklist_) io(b);
+  io(self.blacklist_events_);
 }
 
-void BlissScheduler::load_state(ckpt::Reader& r) {
-  const std::uint64_t n = r.get_u64();
-  if (n != blacklist_.size()) {
-    throw ckpt::SnapshotError("snapshot: BLISS core count mismatch");
-  }
-  for (std::uint8_t& b : blacklist_) b = r.get_u8();
-  blacklist_events_ = r.get_u64();
-}
+void BlissScheduler::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
+void BlissScheduler::load_state(ckpt::Reader& r) { fields(*this, r); }
 
 }  // namespace memsched::sched

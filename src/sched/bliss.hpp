@@ -57,6 +57,9 @@ class BlissScheduler final : public Scheduler {
   void load_state(ckpt::Reader& r) override;
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   std::uint32_t streak_threshold_;
   Tick clearing_interval_;
   std::vector<std::uint8_t> blacklist_;  ///< per core, 1 = blacklisted

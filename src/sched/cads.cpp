@@ -25,17 +25,14 @@ void CadsScheduler::on_epoch(Tick boundary, const QueueSnapshot& snap) {
 
 void CadsScheduler::reset() { std::fill(score_.begin(), score_.end(), 0.0); }
 
-void CadsScheduler::save_state(ckpt::Writer& w) const {
-  w.put_u64(score_.size());
-  for (const double s : score_) w.put_f64(s);
+template <class Self, class Io>
+void CadsScheduler::fields(Self& self, Io& io) {
+  io.count(self.score_.size(), "CADS core count");
+  for (auto& s : self.score_) io(s);
 }
 
-void CadsScheduler::load_state(ckpt::Reader& r) {
-  const std::uint64_t n = r.get_u64();
-  if (n != score_.size()) {
-    throw ckpt::SnapshotError("snapshot: CADS core count mismatch");
-  }
-  for (double& s : score_) s = r.get_f64();
-}
+void CadsScheduler::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
+void CadsScheduler::load_state(ckpt::Reader& r) { fields(*this, r); }
 
 }  // namespace memsched::sched

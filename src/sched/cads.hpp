@@ -46,6 +46,9 @@ class CadsScheduler final : public Scheduler {
   void load_state(ckpt::Reader& r) override;
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   Tick interval_;
   double alpha_;
   std::vector<double> score_;  ///< per core EWMA of interval_served

@@ -47,25 +47,18 @@ void ParbsScheduler::reset() {
   batches_ = 0;
 }
 
-void ParbsScheduler::save_state(ckpt::Writer& w) const {
-  w.put_u64(quota_.size());
-  for (std::size_t i = 0; i < quota_.size(); ++i) {
-    w.put_u32(quota_[i]);
-    w.put_u32(batch_size_[i]);
+template <class Self, class Io>
+void ParbsScheduler::fields(Self& self, Io& io) {
+  io.count(self.quota_.size(), "PAR-BS core count");
+  for (std::size_t i = 0; i < self.quota_.size(); ++i) {
+    io(self.quota_[i]);
+    io(self.batch_size_[i]);
   }
-  w.put_u64(batches_);
+  io(self.batches_);
 }
 
-void ParbsScheduler::load_state(ckpt::Reader& r) {
-  const std::uint64_t n = r.get_u64();
-  if (n != quota_.size()) {
-    throw ckpt::SnapshotError("snapshot: PAR-BS core count mismatch");
-  }
-  for (std::size_t i = 0; i < quota_.size(); ++i) {
-    quota_[i] = r.get_u32();
-    batch_size_[i] = r.get_u32();
-  }
-  batches_ = r.get_u64();
-}
+void ParbsScheduler::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
+void ParbsScheduler::load_state(ckpt::Reader& r) { fields(*this, r); }
 
 }  // namespace memsched::sched

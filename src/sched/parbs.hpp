@@ -46,6 +46,9 @@ class ParbsScheduler final : public Scheduler {
   void load_state(ckpt::Reader& r) override;
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   std::uint32_t batch_cap_;
   std::vector<std::uint32_t> quota_;       ///< marked requests left per core
   std::vector<std::uint32_t> batch_size_;  ///< quota at batch formation (SJF rank)

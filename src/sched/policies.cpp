@@ -7,28 +7,26 @@
 
 namespace memsched::sched {
 
-void RoundRobinScheduler::save_state(ckpt::Writer& w) const {
-  w.put_u32(last_served_);
+template <class Self, class Io>
+void RoundRobinScheduler::fields(Self& self, Io& io) {
+  io(self.last_served_);
 }
 
-void RoundRobinScheduler::load_state(ckpt::Reader& r) {
-  last_served_ = r.get_u32();
-}
+void RoundRobinScheduler::save_state(ckpt::Writer& w) const { fields(*this, w); }
 
-void FairQueueScheduler::save_state(ckpt::Writer& w) const {
+void RoundRobinScheduler::load_state(ckpt::Reader& r) { fields(*this, r); }
+
+template <class Self, class Io>
+void FairQueueScheduler::fields(Self& self, Io& io) {
   // now_ is transient (refreshed by prepare() each round); only the virtual
   // finish times persist.
-  w.put_u64(vft_.size());
-  for (double v : vft_) w.put_f64(v);
+  io.count(self.vft_.size(), "FQ core count");
+  for (auto& v : self.vft_) io(v);
 }
 
-void FairQueueScheduler::load_state(ckpt::Reader& r) {
-  const std::uint64_t n = r.get_u64();
-  if (n != vft_.size()) {
-    throw ckpt::SnapshotError("snapshot: FQ core count mismatch");
-  }
-  for (double& v : vft_) v = r.get_f64();
-}
+void FairQueueScheduler::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
+void FairQueueScheduler::load_state(ckpt::Reader& r) { fields(*this, r); }
 
 FixOrderScheduler::FixOrderScheduler(std::vector<CoreId> order)
     : order_(std::move(order)) {

@@ -113,6 +113,9 @@ class RoundRobinScheduler final : public Scheduler {
   void load_state(ckpt::Reader& r) override;
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   std::uint32_t core_count_;
   CoreId last_served_ = 0;
 };
@@ -175,6 +178,9 @@ class FairQueueScheduler final : public Scheduler {
   void load_state(ckpt::Reader& r) override;
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   std::uint32_t core_count_;
   double quantum_;
   double now_ = 0.0;

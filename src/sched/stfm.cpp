@@ -63,27 +63,19 @@ void StfmScheduler::reset() {
   intervening_ = false;
 }
 
-void StfmScheduler::save_state(ckpt::Writer& w) const {
-  w.put_u64(ipc_est_.size());
-  for (std::size_t i = 0; i < ipc_est_.size(); ++i) {
-    w.put_f64(ipc_est_[i]);
-    w.put_bool(seeded_[i]);
-    w.put_f64(slowdown_[i]);
+template <class Self, class Io>
+void StfmScheduler::fields(Self& self, Io& io) {
+  io.count(self.ipc_est_.size(), "STFM core count");
+  for (std::size_t i = 0; i < self.ipc_est_.size(); ++i) {
+    io(self.ipc_est_[i]);
+    io(self.seeded_[i]);
+    io(self.slowdown_[i]);
   }
-  w.put_bool(intervening_);
+  io(self.intervening_);
 }
 
-void StfmScheduler::load_state(ckpt::Reader& r) {
-  const std::uint64_t n = r.get_u64();
-  if (n != ipc_est_.size()) {
-    throw ckpt::SnapshotError("snapshot: STFM core count mismatch");
-  }
-  for (std::size_t i = 0; i < ipc_est_.size(); ++i) {
-    ipc_est_[i] = r.get_f64();
-    seeded_[i] = r.get_bool();
-    slowdown_[i] = r.get_f64();
-  }
-  intervening_ = r.get_bool();
-}
+void StfmScheduler::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
+void StfmScheduler::load_state(ckpt::Reader& r) { fields(*this, r); }
 
 }  // namespace memsched::sched

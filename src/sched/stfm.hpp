@@ -48,6 +48,9 @@ class StfmScheduler final : public Scheduler {
   void load_state(ckpt::Reader& r) override;
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   std::vector<double> ipc_single_;
   double epoch_cpu_cycles_;
   double alpha_;

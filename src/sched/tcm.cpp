@@ -86,35 +86,25 @@ void TcmScheduler::reset() {
   quanta_ = 0;
 }
 
-void TcmScheduler::save_state(ckpt::Writer& w) const {
-  w.put_u64(priority_.size());
-  for (const double p : priority_) w.put_f64(p);
-  w.put_u64(latency_cluster_.size());
-  for (const CoreId c : latency_cluster_) w.put_u32(c);
-  w.put_u64(bandwidth_cluster_.size());
-  for (const CoreId c : bandwidth_cluster_) w.put_u32(c);
-  w.put_u64(quanta_);
+template <class Self, class Io>
+void TcmScheduler::fields(Self& self, Io& io) {
+  io.count(self.priority_.size(), "TCM core count");
+  for (auto& p : self.priority_) io(p);
+  io.seq(self.latency_cluster_, [&](auto& c) { io(c); });
+  io.seq(self.bandwidth_cluster_, [&](auto& c) { io(c); });
+  io(self.quanta_);
 }
 
+void TcmScheduler::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
 void TcmScheduler::load_state(ckpt::Reader& r) {
-  const std::uint64_t n = r.get_u64();
-  if (n != priority_.size()) {
-    throw ckpt::SnapshotError("snapshot: TCM core count mismatch");
-  }
-  for (double& p : priority_) p = r.get_f64();
-  const std::uint64_t nlat = r.get_u64();
-  if (nlat > core_count_) {
+  fields(*this, r);
+  if (latency_cluster_.size() > core_count_) {
     throw ckpt::SnapshotError("snapshot: TCM latency cluster oversized");
   }
-  latency_cluster_.resize(nlat);
-  for (CoreId& c : latency_cluster_) c = r.get_u32();
-  const std::uint64_t nbw = r.get_u64();
-  if (nbw > core_count_) {
+  if (bandwidth_cluster_.size() > core_count_) {
     throw ckpt::SnapshotError("snapshot: TCM bandwidth cluster oversized");
   }
-  bandwidth_cluster_.resize(nbw);
-  for (CoreId& c : bandwidth_cluster_) c = r.get_u32();
-  quanta_ = r.get_u64();
 }
 
 }  // namespace memsched::sched

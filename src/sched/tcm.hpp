@@ -65,6 +65,9 @@ class TcmScheduler final : public Scheduler {
   void load_state(ckpt::Reader& r) override;
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   std::uint32_t core_count_;
   Tick quantum_;
   double cluster_thresh_;

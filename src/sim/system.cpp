@@ -118,95 +118,57 @@ std::string MultiCoreSystem::run_fingerprint(std::uint64_t target_insts,
   return os.str();
 }
 
-void MultiCoreSystem::Loop::save_state(ckpt::Writer& w) const {
-  w.put_bool(finished);
-  w.put_u64(t);
-  w.put_u64(visited);
-  w.put_u64(t_measure_start);
-  w.put_bool(measuring);
-  w.put_u32(done_count);
-  w.put_u64(next_epoch);
-  w.put_u64_vec(goal);
-  w.put_u64_vec(base_cycle);
-  w.put_u64_vec(finish_cycle);
-  for (const bool d : done) w.put_bool(d);
-  w.put_u64_vec(epoch_insts);
-  w.put_u64_vec(epoch_bytes);
+template <class Self, class Io>
+void MultiCoreSystem::Loop::fields(Self& self, Io& io) {
+  io(self.finished);
+  io(self.t);
+  io(self.visited);
+  io(self.t_measure_start);
+  io(self.measuring);
+  io(self.done_count);
+  io(self.next_epoch);
+  // Per-core vectors, each stored with its length.
+  const auto per_core = [&](auto& v) {
+    io.count(v.size(), "loop-section core count");
+    for (auto& x : v) io(x);
+  };
+  per_core(self.goal);
+  per_core(self.base_cycle);
+  per_core(self.finish_cycle);
+  for (auto&& d : self.done) io(d);
+  per_core(self.epoch_insts);
+  per_core(self.epoch_bytes);
 }
 
-void MultiCoreSystem::Loop::load_state(ckpt::Reader& r) {
-  const std::size_t n = done.size();
-  finished = r.get_bool();
-  t = r.get_u64();
-  visited = r.get_u64();
-  t_measure_start = r.get_u64();
-  measuring = r.get_bool();
-  done_count = r.get_u32();
-  next_epoch = r.get_u64();
-  goal = r.get_u64_vec();
-  base_cycle = r.get_u64_vec();
-  finish_cycle = r.get_u64_vec();
-  if (goal.size() != n || base_cycle.size() != n || finish_cycle.size() != n) {
-    throw ckpt::SnapshotError("snapshot: loop-section core count mismatch");
-  }
-  for (std::size_t c = 0; c < n; ++c) done[c] = r.get_bool();
-  epoch_insts = r.get_u64_vec();
-  epoch_bytes = r.get_u64_vec();
-  if (epoch_insts.size() != n || epoch_bytes.size() != n) {
-    throw ckpt::SnapshotError("snapshot: loop-section core count mismatch");
-  }
+void MultiCoreSystem::Loop::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
+void MultiCoreSystem::Loop::load_state(ckpt::Reader& r) { fields(*this, r); }
+
+template <class Self, class Io, class Watchdogs>
+void MultiCoreSystem::fields(Self& self, Io& io, Watchdogs& watchdogs) {
+  io.section("sched", [&] { io.nested(*self.scheduler_); });
+  io.section("cores", [&] {
+    for (std::uint32_t c = 0; c < self.config_.cores; ++c) {
+      io.nested(*self.cores_[c]);
+      io.nested(*self.streams_[c]);
+    }
+  });
+  io.section("cache", [&] { io.nested(*self.hierarchy_); });
+  io.section("mc", [&] { io.nested(*self.controller_); });
+  io.section("dram", [&] { io.nested(*self.dram_); });
+  if (self.fault_) io.section("fault", [&] { io.nested(*self.fault_); });
+  io.section("watchdogs", [&] {
+    for (auto& wd : watchdogs) io.nested(wd);
+  });
 }
 
 void MultiCoreSystem::save_state(ckpt::Writer& w,
                                  const std::vector<ProgressWatchdog>& watchdogs) const {
-  w.begin_section("sched");
-  scheduler_->save_state(w);
-  w.begin_section("cores");
-  for (std::uint32_t c = 0; c < config_.cores; ++c) {
-    cores_[c]->save_state(w);
-    streams_[c]->save_state(w);
-  }
-  w.begin_section("cache");
-  hierarchy_->save_state(w);
-  w.begin_section("mc");
-  controller_->save_state(w);
-  w.begin_section("dram");
-  dram_->save_state(w);
-  if (fault_) {
-    w.begin_section("fault");
-    fault_->save_state(w);
-  }
-  w.begin_section("watchdogs");
-  for (const ProgressWatchdog& wd : watchdogs) wd.save_state(w);
+  fields(*this, w, watchdogs);
 }
 
 void MultiCoreSystem::load_state(ckpt::Reader& r, std::vector<ProgressWatchdog>& watchdogs) {
-  r.open_section("sched");
-  scheduler_->load_state(r);
-  r.close_section();
-  r.open_section("cores");
-  for (std::uint32_t c = 0; c < config_.cores; ++c) {
-    cores_[c]->load_state(r);
-    streams_[c]->load_state(r);
-  }
-  r.close_section();
-  r.open_section("cache");
-  hierarchy_->load_state(r);
-  r.close_section();
-  r.open_section("mc");
-  controller_->load_state(r);
-  r.close_section();
-  r.open_section("dram");
-  dram_->load_state(r);
-  r.close_section();
-  if (fault_) {
-    r.open_section("fault");
-    fault_->load_state(r);
-    r.close_section();
-  }
-  r.open_section("watchdogs");
-  for (ProgressWatchdog& wd : watchdogs) wd.load_state(r);
-  r.close_section();
+  fields(*this, r, watchdogs);
 }
 
 void MultiCoreSystem::start_phase(Loop& loop, std::uint64_t insts) const {

@@ -152,6 +152,8 @@ class MultiCoreSystem {
           epoch_bytes(cores, 0) {}
     void save_state(ckpt::Writer& w) const;
     void load_state(ckpt::Reader& r);
+    template <class Self, class Io>
+    static void fields(Self& self, Io& io);
 
     bool finished = false;  ///< run() completed (a parked finished snapshot)
     Tick t = 0;
@@ -194,6 +196,8 @@ class MultiCoreSystem {
   /// Every snapshot section after "loop", in file order.
   void save_state(ckpt::Writer& w, const std::vector<ProgressWatchdog>& watchdogs) const;
   void load_state(ckpt::Reader& r, std::vector<ProgressWatchdog>& watchdogs);
+  template <class Self, class Io, class Watchdogs>
+  static void fields(Self& self, Io& io, Watchdogs& watchdogs);
 
   void wire(sched::Scheduler& scheduler, const std::vector<double>& dispatch_ipc,
             std::uint64_t seed);

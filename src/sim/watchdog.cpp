@@ -21,14 +21,14 @@ void ProgressWatchdog::raise(const std::string& context, const mc::MemoryControl
   throw LivelockError(what, now, mc.dump_state(now));
 }
 
-void ProgressWatchdog::save_state(ckpt::Writer& w) const {
-  w.put_u64(last_move_tick_);
-  w.put_u64(last_progress_);
+template <class Self, class Io>
+void ProgressWatchdog::fields(Self& self, Io& io) {
+  io(self.last_move_tick_);
+  io(self.last_progress_);
 }
 
-void ProgressWatchdog::load_state(ckpt::Reader& r) {
-  last_move_tick_ = r.get_u64();
-  last_progress_ = r.get_u64();
-}
+void ProgressWatchdog::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
+void ProgressWatchdog::load_state(ckpt::Reader& r) { fields(*this, r); }
 
 }  // namespace memsched::sim

@@ -97,6 +97,9 @@ class ProgressWatchdog {
   void load_state(ckpt::Reader& r);
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   Tick window_;
   Tick last_move_tick_ = 0;
   std::uint64_t last_progress_ = ~std::uint64_t{0};  ///< first poll always records

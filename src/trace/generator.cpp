@@ -174,36 +174,24 @@ std::uint64_t SyntheticStream::next_ref(std::uint64_t max_insts, InstRecord& rec
   return max_insts;
 }
 
-void SyntheticStream::save_state(ckpt::Writer& w) const {
-  w.put_rng(rng_);
-  w.put_bool(in_phase_);
-  w.put_u64(phase_lines_remaining_);
-  w.put_u64(gap_refs_remaining_);
-  w.put_u32(line_refs_remaining_);
-  w.put_u32(rotor_);
-  w.put_u64(current_line_);
-  w.put_bool(line_dirty_pending_);
-  w.put_u64_vec(stream_pos_);
-  w.put_u64(insts_);
-  w.put_u64(fresh_lines_);
+template <class Self, class Io>
+void SyntheticStream::fields(Self& self, Io& io) {
+  io(self.rng_);
+  io(self.in_phase_);
+  io(self.phase_lines_remaining_);
+  io(self.gap_refs_remaining_);
+  io(self.line_refs_remaining_);
+  io(self.rotor_);
+  io(self.current_line_);
+  io(self.line_dirty_pending_);
+  io.count(self.stream_pos_.size(), "stream cursor count");
+  for (auto& pos : self.stream_pos_) io(pos);
+  io(self.insts_);
+  io(self.fresh_lines_);
 }
 
-void SyntheticStream::load_state(ckpt::Reader& r) {
-  r.get_rng(rng_);
-  in_phase_ = r.get_bool();
-  phase_lines_remaining_ = r.get_u64();
-  gap_refs_remaining_ = r.get_u64();
-  line_refs_remaining_ = r.get_u32();
-  rotor_ = r.get_u32();
-  current_line_ = r.get_u64();
-  line_dirty_pending_ = r.get_bool();
-  const auto pos = r.get_u64_vec();
-  if (pos.size() != stream_pos_.size()) {
-    throw ckpt::SnapshotError("snapshot: stream cursor count mismatch");
-  }
-  stream_pos_ = pos;
-  insts_ = r.get_u64();
-  fresh_lines_ = r.get_u64();
-}
+void SyntheticStream::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
+void SyntheticStream::load_state(ckpt::Reader& r) { fields(*this, r); }
 
 }  // namespace memsched::trace

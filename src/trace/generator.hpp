@@ -55,6 +55,9 @@ class alignas(64) SyntheticStream final : public InstStream {
   void load_state(ckpt::Reader& r) override;
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   void begin_phase();
   InstRecord ref_record();
   InstRecord stream_ref();

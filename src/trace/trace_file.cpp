@@ -205,18 +205,19 @@ void ReplayStream::reset(std::uint64_t /*seed*/) {
   wraps_ = 0;
 }
 
-void ReplayStream::save_state(ckpt::Writer& w) const {
-  w.put_u64(pos_);
-  w.put_u64(wraps_);
+template <class Self, class Io>
+void ReplayStream::fields(Self& self, Io& io) {
+  io(self.pos_);
+  io(self.wraps_);
 }
 
+void ReplayStream::save_state(ckpt::Writer& w) const { fields(*this, w); }
+
 void ReplayStream::load_state(ckpt::Reader& r) {
-  const std::uint64_t pos = r.get_u64();
-  if (pos >= records_.size()) {
+  fields(*this, r);
+  if (pos_ >= records_.size()) {
     throw ckpt::SnapshotError("snapshot: replay cursor out of range");
   }
-  pos_ = static_cast<std::size_t>(pos);
-  wraps_ = r.get_u64();
 }
 
 }  // namespace memsched::trace

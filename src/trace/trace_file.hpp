@@ -46,6 +46,9 @@ class ReplayStream final : public InstStream {
   void load_state(ckpt::Reader& r) override;
 
  private:
+  template <class Self, class Io>
+  static void fields(Self& self, Io& io);
+
   std::vector<InstRecord> records_;
   std::size_t pos_ = 0;
   std::uint64_t wraps_ = 0;
