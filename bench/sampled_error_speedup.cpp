@@ -111,8 +111,7 @@ int run_bench(int argc, char** argv) {
       argc, argv, {"out", "reps", "intervals", "interval_insts", "sample_warmup",
                    "workloads", "schemes"});
   sim::SamplingConfig& smp_cfg = setup.experiment.base.sampling;
-  smp_cfg.intervals =
-      static_cast<std::uint32_t>(setup.cli.get_uint("intervals", smp_cfg.intervals));
+  smp_cfg.intervals = setup.cli.get_u32("intervals", smp_cfg.intervals);
   smp_cfg.interval_insts = setup.cli.get_uint("interval_insts", smp_cfg.interval_insts);
   smp_cfg.warmup_insts = setup.cli.get_uint("sample_warmup", smp_cfg.warmup_insts);
   bench::print_header(

@@ -48,7 +48,7 @@ int run_example(int argc, char** argv) {
   }
   if (auto err = cli.check_known({"cores", "insts", "seed", "light"}))
     throw std::invalid_argument(*err);
-  const auto cores = static_cast<std::uint32_t>(cli.get_uint("cores", 4));
+  const auto cores = cli.get_u32("cores", 4);
   const std::uint64_t insts = cli.get_uint("insts", 150'000);
   const std::uint64_t seed = cli.get_uint("seed", 7);
   const trace::AppProfile light = trace::spec2000_by_name(cli.get_string("light", "gzip"));

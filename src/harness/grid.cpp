@@ -57,11 +57,9 @@ GridSpec grid_from_config(const util::Config& cli) {
   fault.drop_write_prob = cli.get_double("fault.drop_write", 0.0);
   fault.dup_prob = cli.get_double("fault.dup", 0.0);
   fault.delay_prob = cli.get_double("fault.delay", 0.0);
-  fault.delay_ticks_max =
-      static_cast<std::uint32_t>(cli.get_uint("fault.delay_max", fault.delay_ticks_max));
+  fault.delay_ticks_max = cli.get_u32("fault.delay_max", fault.delay_ticks_max);
   fault.stall_prob = cli.get_double("fault.stall", 0.0);
-  fault.stall_ticks =
-      static_cast<std::uint32_t>(cli.get_uint("fault.stall_ticks", fault.stall_ticks));
+  fault.stall_ticks = cli.get_u32("fault.stall_ticks", fault.stall_ticks);
   if (const std::string err = fault.validate(); !err.empty())
     throw std::invalid_argument("fault config: " + err);
 

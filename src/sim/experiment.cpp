@@ -104,8 +104,7 @@ std::uint64_t ReferenceTable::simulations() {
 
 void read_experiment_keys(const util::Config& cli, ExperimentConfig& cfg) {
   cfg.eval_insts = cli.get_uint("insts", cfg.eval_insts);
-  cfg.eval_repeats =
-      static_cast<std::uint32_t>(cli.get_uint("repeats", cfg.eval_repeats));
+  cfg.eval_repeats = cli.get_u32("repeats", cfg.eval_repeats);
   cfg.warmup_insts = cli.get_uint("warmup", cfg.warmup_insts);
   cfg.profile_insts = cli.get_uint("profile_insts", cfg.profile_insts);
   cfg.eval_seed = cli.get_uint("seed", cfg.eval_seed);

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace memsched::util {
@@ -13,6 +14,19 @@ namespace {
 [[noreturn]] void refuse(const std::string& key, const std::string& value,
                          const char* expected) {
   throw std::invalid_argument("config: '" + key + "=" + value + "' is not " + expected);
+}
+
+/// An unsigned integer no larger than `max` (decimal, 0x hex or 0 octal).
+std::uint64_t parse_uint(const std::string& key, const std::string& value,
+                         std::uint64_t max, const char* expected) {
+  const char* s = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  // strtoull would accept a sign and negate "-4" into a huge count.
+  const bool digit = std::isdigit(static_cast<unsigned char>(*s)) != 0;
+  const unsigned long long v = digit ? std::strtoull(s, &end, 0) : 0;
+  if (!digit || *end != '\0' || errno == ERANGE || v > max) refuse(key, value, expected);
+  return v;
 }
 
 std::optional<bool> parse_bool(const std::string& s) {
@@ -65,15 +79,16 @@ std::int64_t Config::get_int(const std::string& key, std::int64_t def) const {
 std::uint64_t Config::get_uint(const std::string& key, std::uint64_t def) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
-  const char* s = it->second.c_str();
-  char* end = nullptr;
-  errno = 0;
-  // strtoull would accept a sign and negate "-4" into a huge count.
-  const bool digit = std::isdigit(static_cast<unsigned char>(*s)) != 0;
-  const unsigned long long v = digit ? std::strtoull(s, &end, 0) : 0;
-  if (!digit || *end != '\0' || errno == ERANGE)
-    refuse(key, it->second, "an unsigned 64-bit integer");
-  return v;
+  return parse_uint(key, it->second, std::numeric_limits<std::uint64_t>::max(),
+                    "an unsigned 64-bit integer");
+}
+
+std::uint32_t Config::get_u32(const std::string& key, std::uint32_t def) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return def;
+  return static_cast<std::uint32_t>(parse_uint(key, it->second,
+                                               std::numeric_limits<std::uint32_t>::max(),
+                                               "an unsigned 32-bit integer"));
 }
 
 double Config::get_double(const std::string& key, double def) const {

@@ -39,10 +39,12 @@ class Config {
   /// not parse as the type, or is outside its range, throws
   /// std::invalid_argument naming the key and the value. get_uint reads the
   /// whole uint64 range (decimal, 0x hex or 0 octal) and refuses a sign;
+  /// get_u32 reads the same way and refuses a value above 2^32 - 1;
   /// get_bool reads 1/0, true/false, yes/no, on/off.
   [[nodiscard]] std::string get_string(const std::string& key, std::string def) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t def) const;
   [[nodiscard]] std::uint64_t get_uint(const std::string& key, std::uint64_t def) const;
+  [[nodiscard]] std::uint32_t get_u32(const std::string& key, std::uint32_t def) const;
   [[nodiscard]] double get_double(const std::string& key, double def) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool def) const;
 

@@ -775,6 +775,28 @@ TEST(ServeDaemon, SubmitWithMalformedValueIsRefusedAndQueuesNothing) {
   loop.join();
 }
 
+// A 32-bit key refuses a value above 2^32 - 1 instead of truncating it:
+// repeats=4294967297 used to run as repeats=1.
+TEST(ServeDaemon, SubmitWithU32OverflowIsRefusedAndQueuesNothing) {
+  const std::string dir = tmp_dir("daemon_u32_overflow");
+  fs::create_directories(dir);
+  serve::Daemon d(daemon_cfg(dir));
+  ASSERT_TRUE(d.start()) << d.error();
+  std::thread loop([&] { (void)d.run(); });
+
+  util::Json submit = cmd("submit");
+  submit["spec"] = "workloads=2MEM-1\nschemes=HF-RF\nrepeats=4294967297\n";
+  const util::Json resp = rpc(dir + "/d.sock", submit);
+  ASSERT_FALSE(resp.at("ok").as_bool());
+  const std::string& error = resp.at("error").as_string();
+  EXPECT_EQ(error.rfind("submit: ", 0), 0u) << error;
+  EXPECT_NE(error.find("'repeats=4294967297'"), std::string::npos) << error;
+  EXPECT_TRUE(d.queue().jobs().empty());
+
+  d.request_stop();
+  loop.join();
+}
+
 TEST(ServeDaemon, GracefulStopExitsWithInterruptedCode) {
   const std::string dir = tmp_dir("daemon_stop");
   fs::create_directories(dir);

@@ -352,6 +352,22 @@ TEST(Config, UintReadsWholeRangeAndRefusesOverflow) {
   EXPECT_FALSE(refusal([&] { return c.get_double("huge", 0.0); }).empty());
 }
 
+TEST(Config, U32ReadsItsRangeAndRefusesWhatDoesNotFit) {
+  Config c;
+  c.set("max", "4294967295");
+  EXPECT_EQ(c.get_u32("max", 0), std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(c.get_u32("absent", 7u), 7u);
+  // One past the range, and a value that used to truncate to 1.
+  c.set("over", "4294967296");
+  EXPECT_NE(refusal([&] { return c.get_u32("over", 0); }).find("'over=4294967296'"),
+            std::string::npos);
+  c.set("repeats", "4294967297");
+  EXPECT_NE(refusal([&] { return c.get_u32("repeats", 1); }).find("'repeats=4294967297'"),
+            std::string::npos);
+  c.set("neg", "-1");
+  EXPECT_FALSE(refusal([&] { return c.get_u32("neg", 0); }).empty());
+}
+
 TEST(Config, EnvFlagRefusesNonBoolean) {
   ::setenv("MEMSCHED_TEST_FLAG", "on", 1);
   EXPECT_TRUE(env_flag("MEMSCHED_TEST_FLAG", false));

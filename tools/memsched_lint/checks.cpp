@@ -113,8 +113,9 @@ const std::vector<std::string> kBannedCalls = {
     "gmtime"};
 const std::vector<std::string> kBlessedFiles = {
     "src/util/rng.hpp", "src/util/rng.cpp", "src/util/wallclock.hpp"};
-const std::vector<std::string> kConfigGetters = {"get_string", "get_int",  "get_uint",
-                                                 "get_double", "get_bool", "has"};
+const std::vector<std::string> kConfigGetters = {"get_string", "get_int",    "get_uint",
+                                                 "get_u32",    "get_double", "get_bool",
+                                                 "has"};
 const std::vector<std::string> kBeginNames = {"begin", "cbegin", "rbegin", "crbegin"};
 
 struct Scope {

@@ -52,11 +52,11 @@ int cmd_start(const util::Config& cli) {
   cfg.state_dir = cli.get_string("state", "");
   if (cfg.socket_path.empty() || cfg.state_dir.empty()) return usage();
   cfg.cache_dir = cli.get_string("cache", "");
-  cfg.workers = static_cast<std::uint32_t>(cli.get_uint("workers", 1));
-  cfg.jobs = static_cast<std::uint32_t>(cli.get_uint("jobs", 1));
+  cfg.workers = cli.get_u32("workers", 1);
+  cfg.jobs = cli.get_u32("jobs", 1);
   cfg.point_timeout_seconds = cli.get_double("timeout", 300.0);
   cfg.heartbeat_timeout_seconds = cli.get_double("hb_timeout", 0.0);
-  cfg.max_attempts = static_cast<std::uint32_t>(cli.get_uint("attempts", 3));
+  cfg.max_attempts = cli.get_u32("attempts", 3);
   cfg.backoff_seconds = cli.get_double("backoff", 0.5);
   cfg.verbose = !cli.get_bool("quiet", false);
   cfg.stop = &ckpt::stop_flag();

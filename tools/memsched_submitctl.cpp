@@ -161,7 +161,7 @@ int wait_for_job(const std::string& socket_path, std::uint64_t id,
 
 int cmd_submit(const util::Config& cli) {
   const std::string socket_path = required_socket(cli);
-  const auto retries = static_cast<std::uint32_t>(cli.get_uint("retries", 5));
+  const auto retries = cli.get_u32("retries", 5);
 
   std::string spec;
   for (const std::string& key : cli.keys()) {
@@ -198,9 +198,7 @@ int cmd_status(const util::Config& cli) {
   req["cmd"] = "status";
   if (cli.has("id")) req["id"] = cli.get_uint("id", 0);
   util::Json resp;
-  if (!request(required_socket(cli), req,
-               static_cast<std::uint32_t>(cli.get_uint("retries", 5)), &resp,
-               nullptr)) {
+  if (!request(required_socket(cli), req, cli.get_u32("retries", 5), &resp, nullptr)) {
     return 1;
   }
   if (const std::string err = reply_error(resp); !err.empty()) {
@@ -229,9 +227,7 @@ int cmd_result(const util::Config& cli) {
   req["id"] = cli.get_uint("id", 0);
   util::Json resp;
   std::string report;
-  if (!request(required_socket(cli), req,
-               static_cast<std::uint32_t>(cli.get_uint("retries", 5)), &resp,
-               &report)) {
+  if (!request(required_socket(cli), req, cli.get_u32("retries", 5), &resp, &report)) {
     return 1;
   }
   if (const std::string err = reply_error(resp); !err.empty()) {
@@ -260,7 +256,7 @@ int cmd_wait(const util::Config& cli) {
   if (!cli.has("id")) return usage();
   return wait_for_job(required_socket(cli), cli.get_uint("id", 0),
                       cli.get_double("timeout", 600.0),
-                      static_cast<std::uint32_t>(cli.get_uint("retries", 5)));
+                      cli.get_u32("retries", 5));
 }
 
 int cmd_simple(const util::Config& cli, const char* cmd) {
@@ -271,9 +267,7 @@ int cmd_simple(const util::Config& cli, const char* cmd) {
   req["cmd"] = cmd;
   if (cli.has("id")) req["id"] = cli.get_uint("id", 0);
   util::Json resp;
-  if (!request(required_socket(cli), req,
-               static_cast<std::uint32_t>(cli.get_uint("retries", 5)), &resp,
-               nullptr)) {
+  if (!request(required_socket(cli), req, cli.get_u32("retries", 5), &resp, nullptr)) {
     return 1;
   }
   if (const std::string err = reply_error(resp); !err.empty()) {

@@ -62,14 +62,14 @@ harness::OrchestratorConfig orchestrator_from(const util::Config& cli,
   oc.manifest_path = cli.get_string("manifest", "");
   oc.fingerprint = fingerprint;
   oc.timeout_seconds = cli.get_double("timeout", 300.0);
-  oc.max_attempts = static_cast<std::uint32_t>(cli.get_uint("attempts", 1));
+  oc.max_attempts = cli.get_u32("attempts", 1);
   oc.backoff_seconds = cli.get_double("backoff", 0.0);
   oc.isolate = cli.get_bool("isolate", true);
   oc.verbose = !cli.get_bool("quiet", false);
   // jobs=0 = auto (MEMSCHED_JOBS env, else hardware_concurrency); the
   // orchestrator resolves it. Parallelism never enters the fingerprint:
   // the sweep's identity — and its output bytes — are the same at any width.
-  oc.jobs = static_cast<std::uint32_t>(cli.get_uint("jobs", 0));
+  oc.jobs = cli.get_u32("jobs", 0);
   oc.stop = &ckpt::stop_flag();
   // cache= on the command line wins; MEMSCHED_CACHE is the fleet-wide
   // default (CI exports one shared store for every sweep invocation).
