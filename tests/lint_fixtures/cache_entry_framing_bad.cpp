@@ -1,5 +1,5 @@
 // lint-as: src/fixture/cache_entry_framing_bad.cpp
-// Fixture: cache-entry-framing catches encode_/decode_ pairs whose field
+// Fixture: ckpt-symmetry catches encode_/decode_ pairs whose field
 // sequences diverge — reordered fields and a field-count mismatch.
 
 namespace ckpt {

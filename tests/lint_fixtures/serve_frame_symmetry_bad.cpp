@@ -1,8 +1,8 @@
 // lint-as: src/fixture/serve_frame_symmetry_bad.cpp
-// Fixture: cache-entry-framing covers the serve subsystem's WAL record
-// codec style — WireWriter/WireReader member calls inside free
-// encode_/decode_ pairs — catching a swapped field sequence and a schema
-// truncation just like it does for the result cache's ckpt-based codec.
+// Fixture: ckpt-symmetry covers free encode_/decode_ pairs that call put_*/
+// get_* as members of a writer and a reader object, the style of the serve
+// subsystem's WAL record codec — catching a swapped field sequence and a
+// schema truncation just like it does for the result cache's codec.
 
 namespace fixture {
 

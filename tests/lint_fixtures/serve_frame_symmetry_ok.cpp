@@ -1,6 +1,6 @@
 // lint-as: src/fixture/serve_frame_symmetry_ok.cpp
-// Fixture: a field-for-field symmetric WAL record codec in the serve
-// subsystem's WireWriter/WireReader style is clean, as is an encoder whose
+// Fixture: a field-for-field symmetric WAL record codec that calls put_*/
+// get_* as writer and reader members is clean, as is an encoder whose
 // decoder lives in another translation unit.
 
 namespace fixture {
