@@ -25,6 +25,7 @@
 #include "harness/guarded_main.hpp"
 #include "harness/manifest.hpp"
 #include "harness/orchestrator.hpp"
+#include "mc/audit.hpp"
 #include "mc/fault_injector.hpp"
 #include "sched/policies.hpp"
 #include "sim/experiment.hpp"
@@ -245,7 +246,11 @@ TEST(FaultInjector, DroppedWritesAreCaughtByVerificationLayer) {
   ASSERT_NE(sys.fault_injector(), nullptr);
   EXPECT_GT(sys.fault_injector()->stats().dropped_writes, 0u);
   ASSERT_NE(sys.auditor(), nullptr);
+#if MEMSCHED_VERIF_ENABLED
+  // With the hooks compiled out (MEMSCHED_VERIF=OFF) the auditor sees no
+  // events, so it can record no violation.
   EXPECT_GT(sys.auditor()->violation_count(), 0u);
+#endif
 }
 
 // ---------------------------------------------------------------------------
