@@ -13,10 +13,15 @@
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "cache/hierarchy.hpp"
 #include "ckpt/snapshot.hpp"
 #include "core/priority_table.hpp"
 #include "core/scheduler_factory.hpp"
+#include "cpu/core_model.hpp"
 #include "dram/address_map.hpp"
+#include "dram/dram_system.hpp"
+#include "mc/controller.hpp"
+#include "sched/policies.hpp"
 #include "sim/system.hpp"
 #include "trace/generator.hpp"
 #include "util/rng.hpp"
@@ -61,6 +66,74 @@ void BM_SyntheticStream(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(s.next());
 }
 BENCHMARK(BM_SyntheticStream);
+
+/// One core of the closed-loop system, from public constructors: DRAM, an
+/// HF-RF controller, a hierarchy warmed as MultiCoreSystem warms it, the
+/// core and its synthetic stream. Stepped one tick window per call, as a
+/// busy tick of the exact engine steps it (no skip engine).
+class CoreRig {
+ public:
+  explicit CoreRig(const trace::AppProfile& app)
+      : stream_(app, /*base_addr=*/0, /*seed=*/7),
+        dram_(cfg_.timing, cfg_.org, cfg_.interleave, cfg_.bank_xor),
+        controller_(dram_, sched_, cfg_.controller, 1, /*seed=*/7),
+        hierarchy_(cfg_.hierarchy, 1, controller_),
+        core_(0, cfg_.core, app.ilp_ipc, stream_, hierarchy_) {
+    hierarchy_.set_fill_callback(
+        [this](std::uint64_t token, CpuCycle done) { core_.on_fill(token, done); });
+    cache::WarmSpec ws;
+    ws.footprint_bytes = app.footprint_bytes;
+    ws.dirty_share = app.dirty_fresh_share;
+    ws.hot_base = app.footprint_bytes;
+    ws.hot_bytes = app.hot_bytes;
+    ws.hot_dirty_share = app.store_share;
+    ws.code_base = ws.hot_base + app.hot_bytes;
+    ws.code_bytes = app.code_bytes;
+    hierarchy_.warm({ws}, /*seed=*/7);
+  }
+
+  void step(Tick ticks) {
+    for (const Tick end = t_ + ticks; t_ < end; ++t_) {
+      hierarchy_.tick(t_);
+      controller_.tick(t_);
+      core_.step_to((t_ + 1) * cfg_.cpu_ratio);
+    }
+  }
+
+  [[nodiscard]] std::uint32_t cpu_ratio() const { return cfg_.cpu_ratio; }
+  [[nodiscard]] const cpu::CoreModel& core() const { return core_; }
+
+ private:
+  sim::SystemConfig cfg_;
+  sched::HitFirstReadFirstScheduler sched_;
+  trace::SyntheticStream stream_;
+  dram::DramSystem dram_;
+  mc::MemoryController controller_;
+  cache::CacheHierarchy hierarchy_;
+  cpu::CoreModel core_;
+  Tick t_ = 0;
+};
+
+// The core front end (CoreModel::step_to and the trace, cache and memory
+// calls it makes) per simulated CPU cycle: swim is MEM-class, eon compute
+// bound. The rig keeps running across iterations, in steady state after
+// the first. per_cpu_cycle is the time per simulated CPU cycle (printed in
+// ns); ipc shows which regime the core ran in.
+void BM_CoreStep(benchmark::State& state, const char* app) {
+  CoreRig rig(trace::spec2000_by_name(app));
+  constexpr Tick kTicks = 10'000;
+  for (auto _ : state) {
+    rig.step(kTicks);
+    benchmark::DoNotOptimize(rig.core().committed());
+  }
+  state.counters["per_cpu_cycle"] = benchmark::Counter(
+      static_cast<double>(kTicks * rig.cpu_ratio()),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.counters["ipc"] = static_cast<double>(rig.core().committed()) /
+                          static_cast<double>(rig.core().cycle());
+}
+BENCHMARK_CAPTURE(BM_CoreStep, swim, "swim");
+BENCHMARK_CAPTURE(BM_CoreStep, eon, "eon");
 
 void BM_PriorityTableLookup(benchmark::State& state) {
   core::MeTable me({2.5, 0.3, 0.7, 0.08});
