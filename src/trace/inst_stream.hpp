@@ -28,11 +28,18 @@ enum class InstClass : std::uint8_t {
   kStore = 2,
 };
 
+/// 16 bytes, so next() returns it in registers rather than through memory.
+/// The field order is layout only: trace files and snapshots encode the
+/// fields one by one, and the constructor keeps the (cls, addr, dep) order.
 struct InstRecord {
   InstClass cls = InstClass::kCompute;
-  Addr addr = 0;            ///< effective address for loads/stores
   bool dep_on_prev = false; ///< load depends on the previous load (pointer chase)
+  Addr addr = 0;            ///< effective address for loads/stores
+
+  constexpr InstRecord() = default;
+  constexpr InstRecord(InstClass c, Addr a, bool dep) : cls(c), dep_on_prev(dep), addr(a) {}
 };
+static_assert(sizeof(InstRecord) == 16);
 
 class InstStream {
  public:
@@ -63,10 +70,12 @@ class InstStream {
   virtual void reset(std::uint64_t seed) = 0;
 
   /// Size of the instruction footprint in bytes (for I-fetch modeling);
-  /// 0 disables I-fetch modeling for this stream.
+  /// 0 disables I-fetch modeling for this stream. Fixed for the stream's
+  /// lifetime (reset() included): the core reads it once, at construction.
   [[nodiscard]] virtual std::uint64_t code_bytes() const { return 0; }
 
-  /// Base address of the code region.
+  /// Base address of the code region; fixed for the stream's lifetime, like
+  /// code_bytes().
   [[nodiscard]] virtual Addr code_base() const { return 0; }
 
   /// Checkpoint/restore of the stream's position. The defaults throw
