@@ -19,12 +19,15 @@
 //   MEMSCHED_UPDATE_GOLDEN=1 ./tests/test_snapshot_pins
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "ckpt/policy.hpp"
@@ -49,18 +52,34 @@ golden::File* const kGolden = golden::register_file(
     "the snapshot bytes drifted (a section's field order or widths changed)");
 
 /// scheme, workload, prefetcher on, replayed streams, and the tick the run
-/// parks at (before it finishes)
+/// parks at (before it finishes). gtest lists each test with its parameter
+/// printed as raw bytes, so the case holds its names in place and has no
+/// padding: a pointer member (std::string's) put a heap address into the
+/// listed name, which then changed from one run to the next.
 struct PinCase {
-  std::string scheme;
-  std::string workload;
+  std::array<char, 40> scheme{};
+  std::array<char, 30> workload{};
   bool prefetch = false;
   bool replay = false;
   Tick stop_tick = 0;
 };
+static_assert(std::has_unique_object_representations_v<PinCase>,
+              "padding would print indeterminate bytes into the test names");
+
+PinCase pin_case(const char* scheme, const char* workload, bool prefetch, bool replay,
+                 Tick stop_tick) {
+  PinCase c;
+  std::strncpy(c.scheme.data(), scheme, c.scheme.size() - 1);
+  std::strncpy(c.workload.data(), workload, c.workload.size() - 1);
+  c.prefetch = prefetch;
+  c.replay = replay;
+  c.stop_tick = stop_tick;
+  return c;
+}
 
 std::string case_name(const PinCase& c) {
-  std::string n = c.scheme + "_" + c.workload + (c.prefetch ? "_Prefetch" : "") +
-                  (c.replay ? "_Replay" : "");
+  std::string n = std::string(c.scheme.data()) + "_" + c.workload.data() +
+                  (c.prefetch ? "_Prefetch" : "") + (c.replay ? "_Replay" : "");
   for (char& ch : n)
     if (ch == '-') ch = '_';
   return n;
@@ -82,7 +101,7 @@ sched::SchedulerPtr make_sched(const std::string& name, std::uint32_t cores) {
 /// A fresh system for `c`: the workload's synthetic streams, or replays of
 /// fixed slices generated from the same application profiles.
 std::unique_ptr<sim::MultiCoreSystem> make_system(const PinCase& c, sched::Scheduler& s) {
-  const sim::Workload& w = sim::workload_by_name(c.workload);
+  const sim::Workload& w = sim::workload_by_name(c.workload.data());
   sim::SystemConfig cfg;
   cfg.audit.enabled = false;  // independent of MEMSCHED_VERIFY; checkpoints need it off
   cfg.engine = sim::Engine::kSkip;
@@ -115,7 +134,7 @@ class SnapshotPins : public ::testing::TestWithParam<PinCase> {
   std::string run(const ckpt::CheckpointPolicy& policy) {
     const PinCase& c = GetParam();
     const sched::SchedulerPtr s =
-        make_sched(c.scheme, sim::workload_by_name(c.workload).cores());
+        make_sched(c.scheme.data(), sim::workload_by_name(c.workload.data()).cores());
     const auto sys = make_system(c, *s);
     try {
       return sim::to_json(sys->run(kTarget, kWarmup, Tick{1} << 32, policy)).dump();
@@ -156,11 +175,11 @@ std::vector<PinCase> pin_cases() {
   // several controller epochs (BLISS, TCM, CADS).
   for (const char* scheme :
        {"RR", "FQ", "STFM", "PAR-BS", "BLISS", "TCM", "CADS", "ME-LREQ-ONLINE"}) {
-    out.push_back({scheme, "4MEM-1", false, false, 5'111});
+    out.push_back(pin_case(scheme, "4MEM-1", false, false, 5'111));
   }
-  out.push_back({"ME-LREQ", "2MEM-1", /*prefetch=*/true, false, 5'111});
+  out.push_back(pin_case("ME-LREQ", "2MEM-1", /*prefetch=*/true, false, 5'111));
   // Mostly cache hits once the slices wrap, so this run is the shortest.
-  out.push_back({"HF-RF", "2MEM-1", false, /*replay=*/true, 2'222});
+  out.push_back(pin_case("HF-RF", "2MEM-1", false, /*replay=*/true, 2'222));
   return out;
 }
 
