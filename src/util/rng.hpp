@@ -7,6 +7,8 @@
 // generator lives inside every core model.
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 
 namespace memsched::util {
@@ -88,6 +90,53 @@ class Xoshiro256 {
   }
 
   std::uint64_t s_[4];
+};
+
+/// A Bernoulli draw with a fixed probability, its threshold computed once:
+/// a call returns exactly what Xoshiro256::chance(p) returns and consumes
+/// the same draws (none for p <= 0 or p >= 1; one, returning false, for
+/// NaN). The compare is exact: for an integer x < 2^53,
+/// x * 2^-53 < p  <=>  x < p * 2^53  <=>  x < ceil(p * 2^53),
+/// and both scalings by a power of two are exact in double.
+class Bernoulli {
+ public:
+  explicit Bernoulli(double p)
+      : threshold_(p <= 0.0   ? kNever
+                   : p >= 1.0 ? kAlways
+                   : p < 1.0  ? static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53))
+                              : 0) {}  // NaN
+
+  bool operator()(Xoshiro256& rng) const {
+    if (threshold_ >= kNever) return threshold_ == kAlways;
+    return (rng.next() >> 11) < threshold_;
+  }
+
+ private:
+  // A drawing threshold is at most 2^53, so these never collide with one.
+  static constexpr std::uint64_t kNever = std::uint64_t{1} << 63;
+  static constexpr std::uint64_t kAlways = kNever + 1;
+
+  std::uint64_t threshold_;
+};
+
+/// Xoshiro256::below(bound) for a fixed bound, its mask computed once: the
+/// same values from the same draws (none for bound <= 1).
+class BoundedDraw {
+ public:
+  explicit BoundedDraw(std::uint64_t bound)
+      : bound_(bound), mask_(bound <= 1 ? 0 : ~std::uint64_t{0} >> std::countl_zero(bound - 1)) {}
+
+  std::uint64_t operator()(Xoshiro256& rng) const {
+    if (bound_ <= 1) return 0;
+    for (;;) {
+      const std::uint64_t v = rng.next() & mask_;
+      if (v < bound_) return v;
+    }
+  }
+
+ private:
+  std::uint64_t bound_;
+  std::uint64_t mask_;
 };
 
 /// Geometric-like run length: number of successes before failure, capped.

@@ -3,17 +3,21 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "trace/app_profile.hpp"
 #include "util/atomic_file.hpp"
 #include "util/bitops.hpp"
 #include "util/config.hpp"
@@ -106,6 +110,96 @@ TEST(Rng, GeometricRunMeanApproximates) {
 TEST(Rng, GeometricRunHonorsCap) {
   Xoshiro256 rng(29);
   for (int i = 0; i < 1000; ++i) EXPECT_LE(geometric_run(rng, 0.99, 5), 5u);
+}
+
+bool same_state(const Xoshiro256& a, const Xoshiro256& b) {
+  const Xoshiro256::State sa = a.state(), sb = b.state();
+  return std::equal(std::begin(sa.s), std::end(sa.s), std::begin(sb.s));
+}
+
+TEST(Rng, BernoulliMatchesChanceDrawForDraw) {
+  // The precomputed threshold must return what chance(p) returns and leave
+  // the generator where chance(p) leaves it: no draw outside (0, 1), one
+  // draw returning false for NaN.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::set<double> probs = {-1.0,
+                            0.0,
+                            std::numeric_limits<double>::denorm_min(),
+                            0x1.0p-53,
+                            0.125,
+                            1.0 / 3.0,
+                            1.0 - 0x1.0p-53,
+                            1.0,
+                            2.0,
+                            kInf,
+                            -kInf};
+  for (const trace::AppProfile& app : trace::spec2000_profiles()) {
+    probs.insert({app.mem_ref_per_kinst / 1000.0, app.store_share, app.dirty_fresh_share,
+                  app.dep_chain_frac});
+  }
+  std::vector<double> cases(probs.begin(), probs.end());
+  cases.push_back(-0.0);  // the set keeps one of the two zeros
+  cases.push_back(std::numeric_limits<double>::quiet_NaN());
+  for (const double p : cases) {
+    Xoshiro256 ref(31), fast(31);
+    const Bernoulli draw(p);
+    for (int i = 0; i < 100'000; ++i) {
+      ASSERT_EQ(draw(fast), ref.chance(p)) << "p=" << p << " draw " << i;
+      ASSERT_TRUE(same_state(fast, ref)) << "p=" << p << " draw " << i;
+    }
+  }
+  // NaN consumes a draw, as chance() does.
+  Xoshiro256 untouched(31), nan_drawn(31);
+  EXPECT_FALSE(Bernoulli(std::numeric_limits<double>::quiet_NaN())(nan_drawn));
+  EXPECT_FALSE(same_state(untouched, nan_drawn));
+}
+
+/// A generator whose next() returns `r`. xoshiro256** outputs
+/// rotl(s[1] * 5, 7) * 9, and 5 and 9 are invertible mod 2^64.
+Xoshiro256 yielding(std::uint64_t r) {
+  const auto inverse = [](std::uint64_t odd) {
+    std::uint64_t v = odd;  // Newton: each step doubles the correct low bits
+    for (int i = 0; i < 5; ++i) v *= 2 - odd * v;
+    return v;
+  };
+  Xoshiro256 rng;
+  rng.set_state({{0, std::rotr(r * inverse(9), 7) * inverse(5), 0, 0}});
+  return rng;
+}
+
+TEST(Rng, BernoulliIsExactAtItsThreshold) {
+  // Random draws almost never land next to the threshold, so drive the
+  // 53-bit draw x to each value around p * 2^53 and compare with chance(p).
+  std::vector<double> probs = {std::numeric_limits<double>::denorm_min(), 0x1.0p-53, 0.125,
+                               1.0 / 3.0, 0.3, 1.0 - 0x1.0p-53};
+  for (const trace::AppProfile& app : trace::spec2000_profiles()) {
+    probs.push_back(app.mem_ref_per_kinst / 1000.0);
+  }
+  for (const double p : probs) {
+    const double t = p * 0x1.0p53;
+    const auto lo = static_cast<std::uint64_t>(std::floor(t));
+    for (std::uint64_t x = lo > 0 ? lo - 1 : 0; x <= lo + 2 && x < (1ull << 53); ++x) {
+      for (const std::uint64_t low_bits : {std::uint64_t{0}, std::uint64_t{0x7ff}}) {
+        Xoshiro256 ref = yielding(x << 11 | low_bits), fast = ref, probe = ref;
+        ASSERT_EQ(probe.next(), x << 11 | low_bits);
+        ASSERT_EQ(Bernoulli(p)(fast), ref.chance(p)) << "p=" << p << " x=" << x;
+      }
+    }
+  }
+}
+
+TEST(Rng, BoundedDrawMatchesBelowDrawForDraw) {
+  for (const std::uint64_t bound :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+        std::uint64_t{768}, std::uint64_t{1} << 20, (std::uint64_t{1} << 33) + 7,
+        (std::uint64_t{1} << 63) + 1, ~std::uint64_t{0}}) {
+    Xoshiro256 ref(37), fast(37);
+    const BoundedDraw draw(bound);
+    for (int i = 0; i < 100'000; ++i) {
+      ASSERT_EQ(draw(fast), ref.below(bound)) << "bound=" << bound << " draw " << i;
+      ASSERT_TRUE(same_state(fast, ref)) << "bound=" << bound << " draw " << i;
+    }
+  }
 }
 
 // -------------------------------------------------------------- stats -----
