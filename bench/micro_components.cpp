@@ -60,12 +60,33 @@ void BM_CacheAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheAccess);
 
-void BM_SyntheticStream(benchmark::State& state) {
-  const auto& app = trace::spec2000_by_name("swim");
-  trace::SyntheticStream s(app, 0, 7);
-  for (auto _ : state) benchmark::DoNotOptimize(s.next());
+// Trace generation per instruction on its two paths: next() is the detailed
+// engine's read, next_ref the sampled fast-forward's (a call runs to the
+// next memory reference). swim is MEM-class, gzip ILP-class. per_inst is
+// the time per instruction (printed in ns).
+void BM_SyntheticStream(benchmark::State& state, const char* app, bool by_ref) {
+  trace::SyntheticStream s(trace::spec2000_by_name(app), 0, 7);
+  constexpr std::uint64_t kInsts = 4096;
+  for (auto _ : state) {
+    if (by_ref) {
+      trace::InstRecord rec;
+      for (std::uint64_t left = kInsts; left > 0;) {
+        left -= s.next_ref(left, rec);
+        benchmark::DoNotOptimize(rec);
+      }
+    } else {
+      for (std::uint64_t i = 0; i < kInsts; ++i) benchmark::DoNotOptimize(s.next());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kInsts));
+  state.counters["per_inst"] = benchmark::Counter(
+      static_cast<double>(kInsts),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_SyntheticStream);
+BENCHMARK_CAPTURE(BM_SyntheticStream, swim_next, "swim", false);
+BENCHMARK_CAPTURE(BM_SyntheticStream, swim_next_ref, "swim", true);
+BENCHMARK_CAPTURE(BM_SyntheticStream, gzip_next, "gzip", false);
+BENCHMARK_CAPTURE(BM_SyntheticStream, gzip_next_ref, "gzip", true);
 
 /// One core of the closed-loop system, from public constructors: DRAM, an
 /// HF-RF controller, a hierarchy warmed as MultiCoreSystem warms it, the
