@@ -99,17 +99,17 @@ AccessReply CacheHierarchy::load(CoreId core, Addr addr, CpuCycle now_cpu,
   return reply;
 }
 
-bool CacheHierarchy::store(CoreId core, Addr addr, std::uint64_t waiter_token) {
+AccessOutcome CacheHierarchy::store(CoreId core, Addr addr, std::uint64_t waiter_token) {
   const Addr line = line_base(addr);
   SetAssocCache& l1 = l1d_[core];
-  if (l1.try_hit(line, true)) return true;
+  if (l1.try_hit(line, true)) return AccessOutcome::kHitL1;
   // Write-allocate: the line is fetched from below like a load; the store
   // queue holds the entry until the fill returns (waiter_token, if any).
   const AccessReply reply = l2_access(core, line, false, 0, waiter_token);
-  if (reply.outcome == AccessOutcome::kRetry) return false;
+  if (reply.outcome == AccessOutcome::kRetry) return reply.outcome;
   const AccessResult r1 = l1.access(line, true);
   if (r1.writeback_line) l2_insert_writeback(core, *r1.writeback_line);
-  return true;
+  return reply.outcome;
 }
 
 AccessReply CacheHierarchy::ifetch(CoreId core, Addr addr, CpuCycle now_cpu,

@@ -80,11 +80,13 @@ class CacheHierarchy {
   /// fill callback fires when the line returns.
   AccessReply load(CoreId core, Addr addr, CpuCycle now_cpu, std::uint64_t waiter_token);
 
-  /// Data store (write-allocate). Returns false when back-pressured — retry
-  /// next cycle. If the store misses and `waiter_token` is given, the fill
-  /// callback fires when the line arrives (used by the core model to retire
-  /// store-queue entries); L1-hit stores never call back.
-  bool store(CoreId core, Addr addr, std::uint64_t waiter_token = kNoWaiterToken);
+  /// Data store (write-allocate), with load()'s outcomes minus the timing:
+  /// kHitL1 or kHitL2 where the line was found, kRetry when back-pressured
+  /// (retry next cycle). kMiss exactly when the line's fill is in flight
+  /// after the call; then a given `waiter_token` is registered and the fill
+  /// callback fires when the line arrives (the core model retires
+  /// store-queue entries that way). Hits never call back.
+  AccessOutcome store(CoreId core, Addr addr, std::uint64_t waiter_token = kNoWaiterToken);
 
   /// Public sentinel for "no completion callback wanted".
   static constexpr std::uint64_t kNoWaiterToken = ~std::uint64_t{0};

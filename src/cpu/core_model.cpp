@@ -155,23 +155,18 @@ bool CoreModel::try_issue_one() {
         last_stall_ = StallKind::kSq;
         return false;
       }
-      // An L1 hit retires instantly; a miss occupies a store-queue entry
-      // until its fill returns (tracked via a bit-62 token).
-      const Addr line = line_base(rec.addr);
-      const bool will_miss = !hierarchy_.l1d(id_).probe(line);
-      const std::uint64_t token =
-          will_miss ? make_token(id_, next_token_seq_, false, /*store=*/true)
-                    : cache::CacheHierarchy::kNoWaiterToken;
-      if (!hierarchy_.store(id_, rec.addr, token)) {
+      // A hit retires instantly; a miss occupies a store-queue entry until
+      // its fill returns (tracked via a bit-62 token). Every L1 miss that
+      // goes through consumes a token number, an L2 hit included.
+      const std::uint64_t token = make_token(id_, next_token_seq_, false, /*store=*/true);
+      const AccessOutcome outcome = hierarchy_.store(id_, rec.addr, token);
+      if (outcome == AccessOutcome::kRetry) {
         ++stats_.stall_backpressure;
         last_stall_ = StallKind::kBackpressure;
         return false;
       }
-      if (will_miss) ++next_token_seq_;
-      if (will_miss && hierarchy_.l2_mshr().find(line) != nullptr) {
-        // The fill is genuinely in flight and our token is registered.
-        ++store_q_used_;
-      }
+      if (outcome != AccessOutcome::kHitL1) ++next_token_seq_;
+      if (outcome == AccessOutcome::kMiss) ++store_q_used_;  // our token waits on the fill
       ++stats_.stores;
       break;
     }

@@ -296,12 +296,35 @@ TEST(Hierarchy, SecondaryMissMerges) {
 
 TEST(Hierarchy, StoreMissWriteAllocatesWithoutWaiter) {
   Stack s;
-  EXPECT_TRUE(s.hier.store(0, 0x5000));
+  EXPECT_EQ(s.hier.store(0, 0x5000), AccessOutcome::kMiss);
   EXPECT_EQ(s.hier.fills_in_flight(), 1u);
   s.drain();
   EXPECT_TRUE(s.fills.empty());
   // The line is now present and dirty in L1.
   EXPECT_EQ(s.hier.load(0, 0x5000, 0, 9).outcome, AccessOutcome::kHitL1);
+}
+
+TEST(Hierarchy, StoreOutcomeSaysWhereTheLineWas) {
+  // kMiss holds exactly when the line's fill is in flight after the call,
+  // and only then is the waiter token registered: the core model counts a
+  // store-queue entry on it.
+  Stack s;
+  EXPECT_EQ(s.hier.store(0, 0x6000, 7), AccessOutcome::kMiss);   // allocates the fill
+  EXPECT_EQ(s.hier.store(1, 0x6008, 8), AccessOutcome::kMiss);   // merges into it
+  EXPECT_NE(s.hier.l2_mshr().find(0x6000), nullptr);
+  EXPECT_EQ(s.hier.store(0, 0x6010, 9), AccessOutcome::kHitL1);  // write-allocated above
+  s.drain();
+  ASSERT_EQ(s.fills.size(), 2u);
+  EXPECT_EQ(s.fills[0].first, 7u);
+  EXPECT_EQ(s.fills[1].first, 8u);
+
+  s.hier.load(1, 0x7000, 0, 10);  // into L2 and core 1's L1 only
+  s.drain();
+  s.fills.clear();
+  EXPECT_EQ(s.hier.store(0, 0x7000, 11), AccessOutcome::kHitL2);
+  EXPECT_EQ(s.hier.l2_mshr().find(0x7000), nullptr);
+  s.drain();
+  EXPECT_TRUE(s.fills.empty());
 }
 
 TEST(Hierarchy, BackPressureWhenL2MshrFull) {
@@ -311,7 +334,7 @@ TEST(Hierarchy, BackPressureWhenL2MshrFull) {
   EXPECT_EQ(s.hier.load(0, 64 * 100, 0, 1).outcome, AccessOutcome::kMiss);
   EXPECT_EQ(s.hier.load(0, 64 * 200, 0, 2).outcome, AccessOutcome::kMiss);
   EXPECT_EQ(s.hier.load(0, 64 * 300, 0, 3).outcome, AccessOutcome::kRetry);
-  EXPECT_FALSE(s.hier.store(0, 64 * 400));
+  EXPECT_EQ(s.hier.store(0, 64 * 400), AccessOutcome::kRetry);
   s.drain();
   EXPECT_EQ(s.fills.size(), 2u);
 }
@@ -323,7 +346,7 @@ TEST(Hierarchy, DirtyL1VictimFlowsToL2ThenDram) {
                         .hit_latency_cpu = 3, .name = "L1D"};
   Stack s(cfg, 1);
   // Dirty a line, then evict it from L1 by touching its set conflict.
-  EXPECT_TRUE(s.hier.store(0, 0x0));         // set 0, dirty
+  EXPECT_EQ(s.hier.store(0, 0x0), AccessOutcome::kMiss);  // set 0, dirty
   s.hier.load(0, 0x80, 0, 1);                // set 0 conflict -> victim 0x0 to L2
   s.drain();
   // L2 now holds 0x0 dirty; storm the L2 set to force a DRAM writeback.
